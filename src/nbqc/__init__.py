@@ -27,6 +27,7 @@ from .lifter import (
     Lifting,
     cycle_eliminated,
     cycle_submatrix,
+    cycles_eliminated,
     distance_upper_bound,
     expanded_girth,
     greedy_lift,
@@ -58,6 +59,7 @@ __all__ = [
     "ConstructionReport",
     "greedy_lift",
     "cycle_eliminated",
+    "cycles_eliminated",
     "cycle_submatrix",
     "expanded_girth",
     "rate_lower_bound",

@@ -191,31 +191,38 @@ class Cycle:
                 raise ValueError("consecutive edges must share exactly a row or a column")
 
 
-def _canonical_edges(edges) -> tuple[tuple[int, int], ...]:
-    n = len(edges)
-    start = min(range(n), key=lambda t: edges[t])
-    fwd = tuple(edges[(start + t) % n] for t in range(n))
-    bwd = tuple(edges[(start - t) % n] for t in range(n))
+def _canonical_edges(edges: list) -> tuple[tuple[int, int], ...]:
+    start = edges.index(min(edges))
+    fwd = tuple(edges[start:] + edges[:start])
+    bwd = tuple(edges[start::-1] + edges[:start:-1])
     return min(fwd, bwd)
 
 
-def cycles_through(
-    h: BaseMatrix, j: int, depth: int, cap: int | None = None
-) -> list[Cycle]:
-    """All distinct cycles through column j with length <= depth.
+class CycleList(list):
+    """Cycles found by an enumeration, plus whether a cycle cap cut it short."""
 
-    Found by depth-limited alternating DFS walks starting at the variable
-    node; each cycle is reported once, in canonical form.  When `cap`
-    cycles of one length have been collected, further cycles of that
-    length are dropped with a warning (the search order is deterministic,
-    so truncation is reproducible).
+    truncated = False
+
+
+def _walk_cycles(
+    h: BaseMatrix, j: int, depth: int, cap: int | None, above_only: bool
+) -> CycleList:
+    """The cycles through column j, as cycles_through finds them.
+
+    With `above_only` the walk never steps to a column below j, so it finds
+    exactly the cycles whose smallest column is j.  The search order is
+    deterministic, so truncation by `cap` is reproducible.
     """
     if not 0 <= j < h.n:
         raise ValueError(f"column index {j} out of range")
     if depth < 4 or depth % 2:
         raise ValueError("depth must be even and at least 4")
     max_k = depth // 2
-    found: list[Cycle] = []
+    lowest = j + 1 if above_only else 0
+    closes = set(h.rows_of_col[j])
+    # per column, its rows that also meet column j, in rows_of_col order
+    closing = [[i for i in rows if i in closes] for rows in h.rows_of_col]
+    found = CycleList()
     per_length: dict[int, int] = {}
     capped_lengths: set[int] = set()
     cols_path = [j]
@@ -229,6 +236,7 @@ def cycles_through(
         if cap is not None and count >= cap:
             if length not in capped_lengths:
                 capped_lengths.add(length)
+                found.truncated = True
                 warnings.warn(
                     f"cycle cap {cap} reached for length {length} at column {j}; "
                     "enumeration truncated",
@@ -245,14 +253,21 @@ def cycles_through(
             if i in rows_used:
                 continue
             # close back to the start column; rows_path[0] < i fixes direction
-            if k >= 2 and h.bits[i, j] and rows_path[0] < i:
+            if k >= 2 and i in closes and rows_path[0] < i:
                 record(i)
-            if k + 1 > max_k:
-                continue
             rows_used.add(i)
             rows_path.append(i)
             for j2 in h.cols_of_row[i]:
-                if j2 in cols_used:
+                if j2 < lowest or j2 in cols_used:
+                    continue
+                if k + 1 == max_k:
+                    # the last column can only close the walk: the body of
+                    # dfs() at that depth, inlined
+                    for i2 in closing[j2]:
+                        if i2 not in rows_used and rows_path[0] < i2:
+                            cols_path.append(j2)
+                            record(i2)
+                            cols_path.pop()
                     continue
                 cols_used.add(j2)
                 cols_path.append(j2)
@@ -266,13 +281,35 @@ def cycles_through(
     return found
 
 
-def all_cycles(h: BaseMatrix, depth: int, cap: int | None = None) -> list[Cycle]:
-    """Union of cycles_through over every column, deduplicated."""
-    seen: dict[Cycle, None] = {}
+def cycles_through(
+    h: BaseMatrix, j: int, depth: int, cap: int | None = None
+) -> list[Cycle]:
+    """All distinct cycles through column j with length <= depth.
+
+    Found by depth-limited alternating DFS walks starting at the variable
+    node; each cycle is reported once, in canonical form.  When `cap`
+    cycles of one length have been collected, further cycles of that
+    length are dropped with a warning.
+    """
+    return _walk_cycles(h, j, depth, cap, above_only=False)
+
+
+def all_cycles(h: BaseMatrix, depth: int, cap: int | None = None) -> CycleList:
+    """Every cycle of length <= depth, each found once from its smallest column.
+
+    The order is that of the union of cycles_through over the columns in
+    ascending order with repeats dropped: a cycle first turns up in the
+    walk from its smallest column, and restricting that walk to larger
+    columns removes only walks through other cycles.  `cap` bounds the
+    cycles per (smallest column, length); `.truncated` tells whether it
+    dropped any.
+    """
+    out = CycleList()
     for j in range(h.n):
-        for c in cycles_through(h, j, depth, cap=cap):
-            seen.setdefault(c, None)
-    return list(seen)
+        found = _walk_cycles(h, j, depth, cap, above_only=True)
+        out.extend(found)
+        out.truncated |= found.truncated
+    return out
 
 
 def cycle_ace(h: BaseMatrix, c: Cycle) -> int:

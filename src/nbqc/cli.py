@@ -32,7 +32,7 @@ from .channel import CodeInstance, SimConfig, run_monte_carlo
 from .lifter import (
     ConstructionConfig,
     Lifting,
-    cycle_eliminated,
+    cycles_eliminated,
     distance_upper_bound,
     expanded_girth,
     greedy_lift,
@@ -115,6 +115,8 @@ def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None
     print(f"base girth: {_fmt_girth(girth(base))}")
 
     cycles = all_cycles(base, depth)
+    if lifting is not None:
+        eliminated = dict(zip(cycles, cycles_eliminated(lifting, cycles)))
     for length in range(4, depth + 1, 2):
         of_len = [c for c in cycles if c.length == length]
         if not of_len:
@@ -123,9 +125,7 @@ def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None
         aces = [cycle_ace(base, c) for c in of_len]
         line = f"length {length}: {len(of_len)} cycles, min ACE {min(aces)}"
         if lifting is not None:
-            surviving = [
-                cycle_ace(base, c) for c in of_len if not cycle_eliminated(lifting, c)
-            ]
+            surviving = [cycle_ace(base, c) for c in of_len if not eliminated[c]]
             if surviving:
                 line += f"; {len(surviving)} surviving, min ACE {min(surviving)}"
             else:

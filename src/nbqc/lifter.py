@@ -19,12 +19,42 @@ disjoint cycles share the minimum (neither single-edge redraw can then
 improve the global minimum, and every elimination would be reverted).
 The accepted-vector sequence is therefore non-decreasing, and once a
 length reaches infinity no later redraw may break it.
+
+Determinants from matchings.  In characteristic 2 a determinant is the
+unsigned sum, over the perfect matchings of the matrix's support, of the
+products of the matched entries.  With monomial entries each product is a
+single monomial alpha^(sum of beta logs) x^(sum of shifts), so a cycle's
+determinant is a few terms whose coefficients xor together per shift.
+The matchings depend only on the base matrix: they are listed once per
+cycle, as base-edge indices, and every test sums per-edge (log beta,
+shift) arrays over them.  On a column-weight-2 base a cycle's submatrix
+holds the cycle's edges only and has exactly two matchings, its alternate
+edges, which gives the closed-form 4-cycle conditions (Fossorier 2004 for
+the shift sums, Poulliat, Fossorier and Declercq 2008 for the coefficient
+products) at every length.
+
+Scoring all trials of an edge at once.  While edge e is redrawn every
+other edge is fixed, so a cycle through e has determinant A + b x^z B:
+A sums the matchings that avoid e, and B those that use e with e's own
+monomial divided out.  A and B are the same for every trial of e, and the
+cycle stays uneliminated under the draw (b, z) exactly when A = b x^z B:
+under every draw if A and B both vanish, under none if only one does, and
+otherwise under at most one draw per term of A (aligning B's first term
+with that term fixes (b, z); the rest of B must then land on A).  A
+rejected redraw restores the previous state, so the ACE vector a trial
+sees depends on its own draw only: the minimum over the fixed cycles (off
+e, or open under every draw) and over the cycles that draw keeps open.
+The trials of an edge are therefore scored from one such computation, and
+the accept/reject scan over them in draw order, with the random draws
+made in the same order, reproduces the one-trial-at-a-time construction
+exactly.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -35,7 +65,6 @@ from .base_graph import (
     BaseMatrix,
     Cycle,
     all_cycles,
-    cycle_ace,
     girth,
     lex_compare,
 )
@@ -43,6 +72,7 @@ from .gf import GF
 from .ring import Monomial, PolyMatrix, RingPoly
 
 MAX_DEPTH = 12  # cycle submatrices stay within the supported determinant size
+_LOOKUP_CHUNK = 1 << 16  # bounds the (cycles, k!, k) index array of one numpy lookup
 
 
 @dataclass(frozen=True)
@@ -185,141 +215,185 @@ def cycle_submatrix(lifting: Lifting, cycle: Cycle) -> PolyMatrix:
     return PolyMatrix.from_entries(lifting.field, lifting.s, grid)
 
 
-def _support_entries(
-    lifting: Lifting, cycle: Cycle
-) -> tuple[int, list[list[tuple[int, int, int]]]]:
-    """Per-row lists of (local col, beta, shift) over the cycle submatrix."""
-    rows = sorted(cycle.rows)
-    cols = sorted(cycle.cols)
-    out: list[list[tuple[int, int, int]]] = []
-    for i in rows:
-        row_entries = []
-        for c, j in enumerate(cols):
-            if lifting.base.bits[i, j]:
-                mono = lifting.assignment.get((i, j))
-                if mono is None:
-                    raise RuntimeError(f"cycle edge ({i}, {j}) has no assignment")
-                row_entries.append((c, mono.beta, mono.shift))
-        out.append(row_entries)
-    return len(rows), out
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(start[t], start[t] + count[t]) over t."""
+    offset = np.cumsum(count) - count
+    return np.repeat(start - offset, count) + np.arange(int(count.sum()))
 
 
-def _support_det_nonzero(field: GF, s: int, k: int, rows) -> bool:
-    """Determinant-nonzero test by summing permutation products.
+@functools.cache
+def _permutations(k: int) -> np.ndarray:
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    perms.setflags(write=False)
+    return perms
 
-    In characteristic 2 the determinant is the unsigned sum over
-    permutations of the entry products; with monomial entries each term
-    is a monomial, so the sum accumulates into a length-s coefficient
-    array.  Equals the cofactor determinant of the same submatrix.
+
+@functools.cache
+def _log_exp(field: GF) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete logs (mod q - 1) and the powers of the primitive element."""
+    order = field.q - 1
+    log = np.array(field.log_table, dtype=np.int64) % order
+    exp = np.array(field.exp_table[:order], dtype=np.int64)
+    log.setflags(write=False)
+    exp.setflags(write=False)
+    return log, exp
+
+
+def _edge_index(base: BaseMatrix) -> np.ndarray:
+    """The index of each base position in base.ones(); -1 off the base."""
+    cols, rows = np.nonzero(base.bits.T)  # column-major, as base.ones()
+    index = np.full(base.bits.shape, -1, dtype=np.intp)
+    index[rows, cols] = np.arange(rows.size)
+    return index
+
+
+def _cycle_matchings(base: BaseMatrix, cycles: list[Cycle]) -> tuple[np.ndarray, np.ndarray]:
+    """Perfect matchings of every cycle's submatrix over its rows x cols.
+
+    Returns (owner, edges) sorted by owner: row t of `edges` is a matching
+    of cycles[owner[t]], as indices into base.ones().  Matchings of shorter
+    cycles are padded with the index len(base.ones()), an edge that the
+    per-edge arrays hold at beta = 1, shift 0.
     """
-    acc = [0] * s
-    used = [False] * k
-    mul = field.mul
+    edge_index = _edge_index(base)
+    pad = int(base.bits.sum())
+    width = max((c.length // 2 for c in cycles), default=0)
+    by_half: dict[int, list[int]] = {}
+    for t, c in enumerate(cycles):
+        by_half.setdefault(c.length // 2, []).append(t)
+    owners = [np.zeros(0, dtype=np.intp)]
+    found = [np.zeros((0, width), dtype=np.intp)]
+    for k, ids in by_half.items():
+        # alternate edges of a cycle are a matching: they list its rows and cols
+        walk = np.array([cycles[t].edges[::2] for t in ids], dtype=np.intp)
+        ids_arr = np.array(ids, dtype=np.intp)
+        perms = _permutations(k)
+        step = max(1, _LOOKUP_CHUNK // (len(perms) * k))
+        for lo in range(0, len(ids), step):
+            rows = walk[lo : lo + step, None, :, 0]
+            cols = walk[lo : lo + step, :, 1][:, perms]
+            sub = edge_index[rows, cols]  # (cycles, k!, k) edge indices, -1 off the base
+            which, perm = np.nonzero((sub >= 0).all(axis=2))
+            block = np.full((which.size, width), pad, dtype=np.intp)
+            block[:, :k] = sub[which, perm]
+            owners.append(ids_arr[lo + which])
+            found.append(block)
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    return owner[order], np.concatenate(found)[order]
 
-    def rec(r: int, beta: int, shift: int) -> None:
-        if r == k:
-            acc[shift] ^= beta
-            return
-        for c, b, z in rows[r]:
-            if used[c]:
-                continue
-            used[c] = True
-            nz = shift + z
-            if nz >= s:
-                nz -= s
-            rec(r + 1, mul(beta, b), nz)
-            used[c] = False
 
-    rec(0, 1, 0)
-    return any(acc)
+def _matching_sums(
+    edges: np.ndarray, edge_log: np.ndarray, edge_shift: np.ndarray, order: int, s: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each matching's term: the log (mod q - 1) of its coefficient, and its shift."""
+    return edge_log[edges].sum(axis=1) % order, edge_shift[edges].sum(axis=1) % s
+
+
+def _xor_terms(
+    group: np.ndarray, shift: np.ndarray, beta: np.ndarray, s: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the monomials beta * x^shift of each group in characteristic 2.
+
+    Returns the nonzero coefficients of the sums as (group, shift, beta)
+    arrays sorted by (group, shift).
+    """
+    key = group * s + shift
+    order = np.argsort(key, kind="stable")
+    key, beta = key[order], beta[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    total = np.bitwise_xor.reduceat(beta, first) if first.size else beta
+    keep = total != 0
+    key = key[first[keep]]
+    return key // s, key % s, total[keep]
+
+
+def cycles_eliminated(lifting: Lifting, cycles: list[Cycle]) -> np.ndarray:
+    """Per cycle, whether its polynomial submatrix has nonzero determinant.
+
+    The determinant is the per-shift xor of the matching terms of the
+    submatrix (see the module docstring); it equals the cofactor
+    determinant of cycle_submatrix.
+    """
+    log, exp = _log_exp(lifting.field)
+    try:
+        monos = [lifting.assignment[pos] for pos in lifting.base.ones()]
+    except KeyError as exc:
+        raise RuntimeError(f"base edge {exc.args[0]} has no assignment") from None
+    # per-edge arrays in base.ones() order, plus the padding edge
+    edge_log = np.array([log[m.beta] for m in monos] + [0], dtype=np.int64)
+    edge_shift = np.array([m.shift for m in monos] + [0], dtype=np.int64)
+    owner, edges = _cycle_matchings(lifting.base, cycles)
+    log_sum, shift_sum = _matching_sums(edges, edge_log, edge_shift, len(exp), lifting.s)
+    nonzero, _, _ = _xor_terms(owner, shift_sum, exp[log_sum], lifting.s)
+    eliminated = np.zeros(len(cycles), dtype=bool)
+    eliminated[nonzero] = True
+    return eliminated
 
 
 def cycle_eliminated(lifting: Lifting, cycle: Cycle) -> bool:
-    """True when the cycle's polynomial submatrix has nonzero determinant.
-
-    4-cycles take a closed form: with monomials (b1,z1)..(b4,z4) at
-    positions (i,j),(i,j'),(i',j),(i',j'), the determinant vanishes iff
-    z1+z4 = z2+z3 (mod s) and b1*b4 = b2*b3.  Longer cycles fall back to
-    the permutation-sum determinant of the full submatrix.
-    """
-    if cycle.length == 4:
-        i, i2 = sorted(cycle.rows)
-        j, j2 = sorted(cycle.cols)
-        a = lifting.assignment
-        try:
-            m1, m2, m3, m4 = a[(i, j)], a[(i, j2)], a[(i2, j)], a[(i2, j2)]
-        except KeyError as exc:
-            raise RuntimeError(f"cycle edge {exc} has no assignment") from None
-        shifts_match = (m1.shift + m4.shift - m2.shift - m3.shift) % lifting.s == 0
-        betas_match = lifting.field.mul(m1.beta, m4.beta) == lifting.field.mul(
-            m2.beta, m3.beta
-        )
-        return not (shifts_match and betas_match)
-    k, rows = _support_entries(lifting, cycle)
-    return _support_det_nonzero(lifting.field, lifting.s, k, rows)
+    """True when the cycle's polynomial submatrix has nonzero determinant."""
+    return bool(cycles_eliminated(lifting, [cycle])[0])
 
 
 # ----------------------------------------------------------------------
 # greedy construction
 # ----------------------------------------------------------------------
-class _AceState:
-    """Elimination statuses plus per-length ACE multisets of one lifting."""
+def _open_draws(
+    local: np.ndarray,
+    has_e: np.ndarray,
+    log_sum: np.ndarray,
+    shift_sum: np.ndarray,
+    e_log: int,
+    e_shift: int,
+    n_cycles: int,
+    field: GF,
+    s: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of edge e under which each cycle through e stays open.
 
-    def __init__(self, h: BaseMatrix, lifting: Lifting, depth: int, cycles: list[Cycle]):
-        self.h = h
-        self.depth = depth
-        self.cycles = cycles
-        self.ace_of = [cycle_ace(h, c) for c in cycles]
-        self.by_col: dict[int, list[int]] = {j: [] for j in range(h.n)}
-        for idx, c in enumerate(cycles):
-            for j in c.cols:
-                self.by_col[j].append(idx)
-        self.status = [cycle_eliminated(lifting, c) for c in cycles]
-        self.counts: dict[int, dict[int, int]] = {
-            length: {} for length in range(4, depth + 1, 2)
-        }
-        for idx, c in enumerate(cycles):
-            if not self.status[idx]:
-                self._bump(c.length, self.ace_of[idx], +1)
+    The arguments describe the matchings of the n_cycles cycles through e:
+    their cycle (`local`), whether they use e, and their current terms;
+    e's own monomial is beta = exp[e_log], shift e_shift.  Returns
+    (always, cycle, key): `always` marks the cycles open under every draw,
+    and cycle[t] stays open under the draw key[t] = log(beta) * s + shift.
+    """
+    log, exp = _log_exp(field)
+    order = len(exp)
+    avoid = ~has_e
+    ga, za, ba = _xor_terms(local[avoid], shift_sum[avoid], exp[log_sum[avoid]], s)
+    gb, zb, bb = _xor_terms(
+        local[has_e],
+        (shift_sum[has_e] - e_shift) % s,
+        exp[(log_sum[has_e] - e_log) % order],
+        s,
+    )
+    na = np.bincount(ga, minlength=n_cycles)
+    nb = np.bincount(gb, minlength=n_cycles)
+    always = (na == 0) & (nb == 0)
+    # A = b x^z B needs as many terms on both sides; aligning B's first
+    # term with one term of A fixes the draw
+    t = np.flatnonzero((na == nb)[ga])
+    g = ga[t]
+    first = np.searchsorted(gb, g)
+    la, lb = log[ba], log[bb]
+    z = (za[t] - zb[first]) % s
+    lg = (la[t] - lb[first]) % order
+    # the draw holds when every term of B, moved by it, is a term of A
+    n = nb[g]
+    cand = np.repeat(np.arange(t.size), n)
+    u = _ranges(first, n)
+    moved = (g[cand] * s + (zb[u] + z[cand]) % s) * order + (lb[u] + lg[cand]) % order
+    terms_a = (ga * s + za) * order + la  # strictly increasing
+    at = np.minimum(np.searchsorted(terms_a, moved), max(terms_a.size - 1, 0))
+    ok = np.bincount(cand[terms_a[at] != moved], minlength=t.size) == 0
+    return always, g[ok], lg[ok] * s + z[ok]
 
-    def _bump(self, length: int, ace: int, delta: int) -> None:
-        bucket = self.counts[length]
-        new = bucket.get(ace, 0) + delta
-        if new:
-            bucket[ace] = new
-        else:
-            del bucket[ace]
 
-    def vector(self) -> AceVector:
-        values = tuple(
-            min(self.counts[length]) if self.counts[length] else math.inf
-            for length in range(4, self.depth + 1, 2)
-        )
-        return AceVector(self.depth, values)
-
-    def affected(self, i: int, j: int) -> list[int]:
-        """Cycles whose submatrix contains position (i, j)."""
-        return [idx for idx in self.by_col[j] if i in self.cycles[idx].rows]
-
-    def apply(self, lifting: Lifting, indices: list[int]) -> list[tuple[int, bool]]:
-        """Recompute statuses for `indices`; returns an undo list."""
-        undo = []
-        for idx in indices:
-            new = cycle_eliminated(lifting, self.cycles[idx])
-            old = self.status[idx]
-            if new != old:
-                undo.append((idx, old))
-                self.status[idx] = new
-                c = self.cycles[idx]
-                self._bump(c.length, self.ace_of[idx], -1 if new else +1)
-        return undo
-
-    def rollback(self, undo: list[tuple[int, bool]]) -> None:
-        for idx, old in undo:
-            new = self.status[idx]
-            self.status[idx] = old
-            c = self.cycles[idx]
-            self._bump(c.length, self.ace_of[idx], +1 if new else -1)
+def _ace_minima(counts: np.ndarray, empty: int) -> np.ndarray:
+    """Per row, the first column with a nonzero count; `empty` for an empty row."""
+    present = counts > 0
+    return np.where(present.any(axis=-1), present.argmax(axis=-1), empty)
 
 
 def greedy_lift(
@@ -328,63 +402,124 @@ def greedy_lift(
     """Run the randomized greedy edge assignment; reproducible per seed."""
     if int(h.bits.sum()) == 0:
         raise ValueError("base matrix has no edges to lift")
-    return _greedy_lift_impl(h, cfg, strict=False)
-
-
-def _greedy_lift_impl(
-    h: BaseMatrix, cfg: ConstructionConfig, strict: bool
-) -> tuple[Lifting, ConstructionReport]:
     field = cfg.make_field()
     lifting = Lifting.trivial(h, cfg.s, field)
+    s = cfg.s
+    log, exp = _log_exp(field)
+    order = len(exp)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cycles = all_cycles(h, cfg.depth, cap=cfg.cycle_cap)
-    truncated = any("cycle cap" in str(w.message) for w in caught)
+    cycles = all_cycles(h, cfg.depth, cap=cfg.cycle_cap)
+    owner, edges = _cycle_matchings(h, cycles)
+    ones = h.ones()
+    edge_log = np.zeros(len(ones) + 1, dtype=np.int64)
+    edge_shift = np.zeros(len(ones) + 1, dtype=np.int64)
+    log_sum, shift_sum = _matching_sums(edges, edge_log, edge_shift, order, s)
+    m_start = np.searchsorted(owner, np.arange(len(cycles)))
+    m_count = np.bincount(owner, minlength=len(cycles))
+    # the matchings through each edge, ascending
+    flat = edges.ravel()
+    by_edge = np.argsort(flat, kind="stable")
+    through = by_edge // max(edges.shape[1], 1)
+    bounds = np.searchsorted(flat[by_edge], np.arange(len(ones) + 1))
 
-    state = _AceState(h, lifting, cfg.depth, cycles)
-    ace_max = state.vector()
+    # a cycle's first matching meets each of its columns once
+    degree = np.array([h.column_degrees[j] for _, j in ones] + [2], dtype=np.intp)
+    first = edges[m_start]
+    ace = (degree[first] - 2).sum(axis=1)
+    slot = (first < len(ones)).sum(axis=1) - 2  # position of the length in the ACE vector
+    n_slots = cfg.depth // 2 - 1
+    width = int(ace.max(initial=0)) + 1  # an ACE no cycle has: marks "none open"
+    cell = slot * width + ace
+    cells = n_slots * width
+
+    nonzero, _, _ = _xor_terms(owner, shift_sum, exp[log_sum], s)
+    is_open = np.ones(len(cycles), dtype=bool)
+    is_open[nonzero] = False
+    counts = np.bincount(cell[is_open], minlength=cells)
+
+    def vector(minima) -> AceVector:
+        return AceVector(cfg.depth, tuple(math.inf if v == width else int(v) for v in minima))
+
+    ace_max = vector(_ace_minima(counts.reshape(n_slots, width), width))
     rng = np.random.default_rng(cfg.rng_seed)
 
     trials_total = 0
     accepted: list[AcceptedTrial] = []
-    for j in range(h.n):
-        for i in h.rows_of_col[j]:
-            candidates = state.affected(i, j)
-            for _ in range(cfg.trials_per_edge):
-                trials_total += 1
-                draw = Monomial(
-                    beta=int(rng.integers(1, cfg.q)),
-                    shift=int(rng.integers(0, cfg.s)),
-                )
-                old_mono = lifting.assignment[(i, j)]
-                lifting.assignment[(i, j)] = draw
-                undo = state.apply(lifting, candidates)
-                ace = state.vector()
-                cmp = lex_compare(ace_max, ace)
-                keep = cmp < 0 if strict else cmp <= 0
-                if keep:
-                    ace_max = ace
-                    accepted.append(AcceptedTrial((i, j), draw.shift, draw.beta, ace.values))
-                else:
-                    state.rollback(undo)
-                    lifting.assignment[(i, j)] = old_mono
+    for e, (i, j) in enumerate(ones):
+        draws = [
+            (int(rng.integers(1, cfg.q)), int(rng.integers(0, s)))
+            for _ in range(cfg.trials_per_edge)
+        ]
+        trials_total += len(draws)
+        keys = [int(log[beta]) * s + shift for beta, shift in draws]
 
-    counts: dict[int, tuple[int, int]] = {}
-    for length in range(4, cfg.depth + 1, 2):
-        idxs = [k for k, c in enumerate(cycles) if c.length == length]
-        elim = sum(1 for k in idxs if state.status[k])
-        counts[length] = (len(idxs) - elim, elim)
+        mine = through[bounds[e] : bounds[e + 1]]
+        hit = np.unique(owner[mine])
+        rows = _ranges(m_start[hit], m_count[hit])
+        always, opened, opened_key = _open_draws(
+            np.repeat(np.arange(hit.size), m_count[hit]),
+            (edges[rows] == e).any(axis=1),
+            log_sum[rows],
+            shift_sum[rows],
+            int(edge_log[e]),
+            int(edge_shift[e]),
+            hit.size,
+            field,
+            s,
+        )
+
+        # a draw's ACE vector: the minimum over the fixed part (cycles off e,
+        # and cycles open under every draw) and over the cycles it keeps open
+        hit_cell = cell[hit]
+        was_open = is_open[hit]
+        fixed = (
+            counts
+            - np.bincount(hit_cell[was_open], minlength=cells)
+            + np.bincount(hit_cell[always], minlength=cells)
+        )
+        drawn = np.unique(keys)
+        table = np.tile(_ace_minima(fixed.reshape(n_slots, width), width), (drawn.size, 1))
+        at = np.minimum(np.searchsorted(drawn, opened_key), drawn.size - 1)
+        use = drawn[at] == opened_key
+        np.minimum.at(table, (at[use], slot[hit][opened[use]]), ace[hit][opened[use]])
+        vectors = {int(key): vector(row) for key, row in zip(drawn, table.tolist())}
+
+        last = None
+        for (beta, shift), key in zip(draws, keys):
+            vec = vectors[key]
+            if lex_compare(ace_max, vec) <= 0:
+                ace_max = vec
+                accepted.append(AcceptedTrial((i, j), shift, beta, vec.values))
+                last = (beta, shift, key)
+        if last is None:
+            continue
+
+        beta, shift, key = last
+        now_open = always.copy()
+        now_open[opened[opened_key == key]] = True
+        counts += np.bincount(hit_cell[now_open], minlength=cells)
+        counts -= np.bincount(hit_cell[was_open], minlength=cells)
+        is_open[hit] = now_open
+        log_sum[mine] = (log_sum[mine] + log[beta] - edge_log[e]) % order
+        shift_sum[mine] = (shift_sum[mine] + shift - edge_shift[e]) % s
+        edge_log[e], edge_shift[e] = log[beta], shift
+        lifting.assignment[(i, j)] = Monomial(beta, shift)
+
+    cycle_counts: dict[int, tuple[int, int]] = {}
+    for k, length in enumerate(range(4, cfg.depth + 1, 2)):
+        of_len = slot == k
+        still_open = int(np.count_nonzero(is_open & of_len))
+        cycle_counts[length] = (still_open, int(np.count_nonzero(of_len)) - still_open)
 
     report = ConstructionReport(
-        ace=state.vector(),
-        cycle_counts=counts,
+        ace=ace_max,
+        cycle_counts=cycle_counts,
         expanded_girth=expanded_girth(lifting),
         seed=cfg.rng_seed,
         trials_total=trials_total,
         trials_accepted=len(accepted),
         accepted_log=accepted,
-        enumeration_truncated=truncated,
+        enumeration_truncated=cycles.truncated,
     )
     return lifting, report
 

@@ -2,14 +2,17 @@
 
 Deliberately written without reusing the library's internals: carry-less
 field multiplication, plain-Python Gaussian elimination, a permutation
-based cycle enumerator and a direct xor-convolution.
+based cycle enumerator, a direct xor-convolution, and a one-trial-at-a-time
+greedy construction on the cofactor determinant.
 """
 
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from nbqc.base_graph import BaseMatrix, Cycle
+from nbqc.base_graph import BaseMatrix, Cycle, ace_vector, girth, lex_compare
+from nbqc.lifter import AcceptedTrial, ConstructionReport, Lifting, cycle_submatrix
+from nbqc.ring import Monomial
 
 
 def clmul_reduce(a: int, b: int, poly: int, p: int) -> int:
@@ -95,4 +98,70 @@ def random_base_matrix(rng: np.random.Generator, m: int, n: int) -> BaseMatrix:
     while True:
         bits = (rng.random((m, n)) < 0.5).astype(int)
         if bits.sum(axis=0).all() and bits.sum(axis=1).all():
+            return BaseMatrix(bits)
+
+
+def reference_greedy_lift(h: BaseMatrix, cfg) -> tuple[Lifting, ConstructionReport]:
+    """The greedy construction, one trial at a time.
+
+    Each trial writes its draw into the lifting, re-tests every cycle whose
+    rows x cols contain the edge with the cofactor determinant, and keeps
+    the draw when the ACE vector is lexicographically no worse; otherwise
+    it restores the previous monomial and statuses.  Cycles come from the
+    exhaustive enumerator, so capped enumerations are out of scope.
+    """
+    field = cfg.make_field()
+    lifting = Lifting.trivial(h, cfg.s, field)
+    cycles = sorted(brute_force_cycles(h, cfg.depth), key=lambda c: c.edges)
+
+    def eliminated(c: Cycle) -> bool:
+        return not cycle_submatrix(lifting, c).determinant().is_zero()
+
+    status = {c: eliminated(c) for c in cycles}
+    ace_max = ace_vector(h, list(status.items()), cfg.depth)
+    rng = np.random.default_rng(cfg.rng_seed)
+    trials = 0
+    accepted = []
+    for j in range(h.n):
+        for i in h.rows_of_col[j]:
+            affected = [c for c in cycles if i in c.rows and j in c.cols]
+            for _ in range(cfg.trials_per_edge):
+                trials += 1
+                draw = Monomial(int(rng.integers(1, cfg.q)), int(rng.integers(0, cfg.s)))
+                before = lifting.assignment[(i, j)]
+                saved = {c: status[c] for c in affected}
+                lifting.assignment[(i, j)] = draw
+                for c in affected:
+                    status[c] = eliminated(c)
+                vec = ace_vector(h, list(status.items()), cfg.depth)
+                if lex_compare(ace_max, vec) <= 0:
+                    ace_max = vec
+                    accepted.append(AcceptedTrial((i, j), draw.shift, draw.beta, vec.values))
+                else:
+                    lifting.assignment[(i, j)] = before
+                    status.update(saved)
+
+    counts = {}
+    for length in range(4, cfg.depth + 1, 2):
+        flags = [status[c] for c in cycles if c.length == length]
+        counts[length] = (flags.count(False), flags.count(True))
+    report = ConstructionReport(
+        ace=ace_max,
+        cycle_counts=counts,
+        expanded_girth=girth(lifting.expand()),
+        seed=cfg.rng_seed,
+        trials_total=trials,
+        trials_accepted=len(accepted),
+        accepted_log=accepted,
+    )
+    return lifting, report
+
+
+def random_weighted_base(rng: np.random.Generator, m: int, weights) -> BaseMatrix:
+    """Random m-row base whose column j has weight weights[j], no empty rows."""
+    while True:
+        bits = np.zeros((m, len(weights)), dtype=int)
+        for j, w in enumerate(weights):
+            bits[rng.choice(m, size=w, replace=False), j] = 1
+        if bits.sum(axis=1).all():
             return BaseMatrix(bits)

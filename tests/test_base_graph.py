@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -144,6 +145,31 @@ def test_cycle_cap_truncates_with_warning():
     assert len([c for c in capped if c.length == 4]) == 2
     full = cycles_through(h, 0, 4)
     assert len(full) > 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_all_cycles_order_is_first_discovery_over_columns(seed):
+    rng = np.random.default_rng(100 + seed)
+    h = random_base_matrix(rng, 4 + seed % 2, 7)
+    union = dict.fromkeys(c for j in range(h.n) for c in cycles_through(h, j, 8))
+    assert all_cycles(h, 8) == list(union)
+
+
+def test_all_cycles_cap_counts_per_smallest_column():
+    h = BaseMatrix(np.ones((4, 5), dtype=int))
+    full = all_cycles(h, 6)
+    assert full.truncated is False
+    with pytest.warns(UserWarning, match="cycle cap"):
+        capped = all_cycles(h, 6, cap=3)
+    assert capped.truncated is True
+    kept: Counter = Counter()
+    expected = []
+    for c in full:
+        key = (min(c.cols), c.length)
+        if kept[key] < 3:
+            kept[key] += 1
+            expected.append(c)
+    assert capped == expected
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -41,6 +42,31 @@ def test_construct_round_trips(tmp_path, capsys):
     report = json.load(open(out + ".report.json"))
     assert report["seed"] == 5
     assert report["expanded_girth"] == "inf"
+
+
+def test_construct_criterion_8_code_is_byte_identical(tmp_path, capsys):
+    # digests of the files the one-trial-at-a-time construction wrote for
+    # the acceptance-criterion-8 code: 4x16/s=12, GF(16), depth 8, 100 trials
+    base = write(tmp_path / "b416.txt", make_weight2_base(4, 16))
+    out = str(tmp_path / "b416.alist")
+    rc = main(
+        [
+            "construct", base,
+            "--s", "12", "--q", "16", "--depth", "8",
+            "--trials", "100", "--seed", "11", "--out", out,
+        ]
+    )
+    assert rc == 0
+
+    def sha256(path):
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    assert sha256(out) == "20bfa1cf5297ccd8ac0f98e7267009961bc4de4dc87319142e339107dfeab862"
+    assert (
+        sha256(out + ".report.json")
+        == "b030df8e174a9639338728db40989f74f6517bcd233001945a0e92eccaa750ce"
+    )
 
 
 def test_construct_prints_defaulted_seed(tmp_path, capsys):

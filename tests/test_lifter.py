@@ -1,10 +1,18 @@
+import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import plain_nullity, random_base_matrix
+from helpers import (
+    plain_nullity,
+    random_base_matrix,
+    random_weighted_base,
+    reference_greedy_lift,
+)
+from nbqc.alist_io import serialize_qc
 from nbqc.base_graph import BaseMatrix, all_cycles, cycles_through, girth, lex_compare
 from nbqc.gf import GF
 from nbqc.lifter import (
@@ -12,6 +20,7 @@ from nbqc.lifter import (
     Lifting,
     cycle_eliminated,
     cycle_submatrix,
+    cycles_eliminated,
     distance_upper_bound,
     expanded_girth,
     greedy_lift,
@@ -119,6 +128,19 @@ def test_zero_determinant_implies_singular_expansion():
                 seen_zero += 1
                 assert plain_nullity(F4, sub.expand()) >= 3
     assert seen_zero > 0
+
+
+def test_batch_elimination_matches_single_cycle_tests():
+    rng = np.random.default_rng(12)
+    h = random_base_matrix(rng, 4, 7)
+    cycles = all_cycles(h, 8)
+    for _ in range(5):
+        lifting = random_lifting(rng, h, 5, F4)
+        got = cycles_eliminated(lifting, cycles)
+        assert got.tolist() == [cycle_eliminated(lifting, c) for c in cycles]
+        assert got.tolist() == [
+            not cycle_submatrix(lifting, c).determinant().is_zero() for c in cycles
+        ]
 
 
 def test_unassigned_edge_raises():
@@ -239,6 +261,49 @@ def test_incremental_state_matches_full_recomputation():
             len(of_len) - sum(of_len),
             sum(of_len),
         )
+
+
+# (column weights, q, s, depth, seed): every weight profile with every q,
+# s from 2 upward and depths 4, 6 and 8
+EXACTNESS_CASES = [
+    (kind, q, 2 + t % 7, (4, 6, 8)[t % 3], seed)
+    for seed in (0, 1)
+    for t, (kind, q) in enumerate(
+        itertools.product(("weight2", "weight3", "mixed"), (2, 4, 16, 64))
+    )
+]
+
+
+@pytest.mark.parametrize("kind,q,s,depth,seed", EXACTNESS_CASES)
+def test_greedy_matches_sequential_reference(kind, q, s, depth, seed):
+    rng = np.random.default_rng([seed, q, s, depth])
+    m = int(rng.integers(3, 6))
+    n = int(rng.integers(4, 7))
+    weights = {
+        "weight2": [2] * n,
+        "weight3": [3] * n,
+        "mixed": [int(w) for w in rng.integers(1, 4, size=n)],
+    }[kind]
+    h = random_weighted_base(rng, m, weights)
+    cfg = ConstructionConfig(
+        s=s, q=q, depth=depth, trials_per_edge=int(rng.integers(2, 6)), rng_seed=seed
+    )
+    lifting, report = greedy_lift(h, cfg)
+    ref_lifting, ref_report = reference_greedy_lift(h, cfg)
+    assert serialize_qc(lifting) == serialize_qc(ref_lifting)
+    assert json.dumps(report.to_dict(), indent=2, sort_keys=True) == json.dumps(
+        ref_report.to_dict(), indent=2, sort_keys=True
+    )
+
+
+def test_capped_run_reports_truncation():
+    h = BaseMatrix(np.ones((4, 4), dtype=int))
+    cfg = ConstructionConfig(s=5, q=4, depth=6, trials_per_edge=2, rng_seed=0, cycle_cap=1)
+    with pytest.warns(UserWarning, match="cycle cap"):
+        _, report = greedy_lift(h, cfg)
+    assert report.to_dict()["enumeration_truncated"] is True
+    _, full = greedy_lift(h, ConstructionConfig(s=5, q=4, depth=6, trials_per_edge=2))
+    assert full.to_dict()["enumeration_truncated"] is False
 
 
 def test_plateau_moves_clear_disjoint_equal_minimum_cycles():
