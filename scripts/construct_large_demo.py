@@ -11,19 +11,9 @@ import argparse
 import json
 import time
 
-import numpy as np
-
-from nbqc import BaseMatrix, ConstructionConfig, distance_upper_bound, greedy_lift, rate_lower_bound
+from nbqc import ConstructionConfig, distance_upper_bound, greedy_lift, rate_lower_bound
 from nbqc.alist_io import serialize_qc
-
-
-def weight2_base(m: int, n: int) -> BaseMatrix:
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    bits = np.zeros((m, n), dtype=int)
-    for j in range(n):
-        a, b = pairs[j % len(pairs)]
-        bits[a, j] = bits[b, j] = 1
-    return BaseMatrix(bits)
+from nbqc.base_graph import weight2_base
 
 
 def main():

@@ -8,19 +8,9 @@ desk-scale setup used in the acceptance suite (GF(16), 4x16 base, s=12).
 
 import argparse
 
-import numpy as np
-
-from nbqc import BaseMatrix, ConstructionConfig, GF, Lifting, greedy_lift
+from nbqc import ConstructionConfig, GF, Lifting, greedy_lift
+from nbqc.base_graph import weight2_base
 from nbqc.channel import SimConfig, build_code, run_monte_carlo
-
-
-def weight2_base(m: int, n: int) -> BaseMatrix:
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    bits = np.zeros((m, n), dtype=int)
-    for j in range(n):
-        a, b = pairs[j % len(pairs)]
-        bits[a, j] = bits[b, j] = 1
-    return BaseMatrix(bits)
 
 
 def parse_args():

@@ -25,25 +25,21 @@ from .lifter import (
     ConstructionConfig,
     ConstructionReport,
     Lifting,
+    Monomial,
     cycle_eliminated,
-    cycle_submatrix,
     cycles_eliminated,
     distance_upper_bound,
     expanded_girth,
     greedy_lift,
     rate_lower_bound,
 )
-from .ring import Monomial, PolyMatrix, RingPoly, mono_mul
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GF",
     "DEFAULT_PRIMITIVE_POLY",
-    "RingPoly",
     "Monomial",
-    "PolyMatrix",
-    "mono_mul",
     "BaseMatrix",
     "Cycle",
     "AceVector",
@@ -60,7 +56,6 @@ __all__ = [
     "greedy_lift",
     "cycle_eliminated",
     "cycles_eliminated",
-    "cycle_submatrix",
     "expanded_girth",
     "rate_lower_bound",
     "distance_upper_bound",

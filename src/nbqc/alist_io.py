@@ -38,8 +38,7 @@ import numpy as np
 
 from .base_graph import BaseMatrix
 from .gf import GF
-from .lifter import Lifting
-from .ring import Monomial
+from .lifter import Lifting, Monomial
 
 MAGIC_FULL = "nbalist full"
 MAGIC_QC = "nbalist qc"
@@ -70,6 +69,22 @@ def _ints(lineno: int, content: str, expect: int | None = None) -> list[int]:
     return vals
 
 
+def _header(text: str, magic: str, min_lines: int) -> tuple[list[tuple[int, str]], int]:
+    """The content lines of a file that opens with `magic` and 'poly <int>', and that poly."""
+    lines = _content_lines(text)
+    if not lines:
+        raise AlistFormatError("empty matrix file")
+    if lines[0][1] != magic:
+        raise AlistFormatError(f"line {lines[0][0]}: expected '{magic}' header")
+    if len(lines) < min_lines:
+        raise AlistFormatError("truncated file header")
+    lineno, content = lines[1]
+    toks = content.split()
+    if len(toks) != 2 or toks[0] != "poly":
+        raise AlistFormatError(f"line {lineno}: expected 'poly <int>'")
+    return lines, _ints(lineno, toks[1], 1)[0]
+
+
 def _field_for(q: int, poly: int) -> GF:
     p = q.bit_length() - 1
     if q < 2 or (1 << p) != q:
@@ -93,18 +108,7 @@ def serialize_qc(lifting: Lifting) -> str:
 
 
 def parse_qc(text: str) -> Lifting:
-    lines = _content_lines(text)
-    if not lines:
-        raise AlistFormatError("empty matrix file")
-    if lines[0][1] != MAGIC_QC:
-        raise AlistFormatError(f"line {lines[0][0]}: expected '{MAGIC_QC}' header")
-    if len(lines) < 3:
-        raise AlistFormatError("truncated file: missing poly/dimension lines")
-    lineno, content = lines[1]
-    toks = content.split()
-    if len(toks) != 2 or toks[0] != "poly":
-        raise AlistFormatError(f"line {lineno}: expected 'poly <int>'")
-    poly = _ints(lineno, toks[1], 1)[0]
+    lines, poly = _header(text, MAGIC_QC, 3)
     lineno, content = lines[2]
     m, n, s, q = _ints(lineno, content, 4)
     if m < 1 or n < 1 or s < 1:
@@ -161,18 +165,7 @@ def serialize_full(field: GF, h: np.ndarray) -> str:
 
 
 def parse_full(text: str) -> tuple[GF, np.ndarray]:
-    lines = _content_lines(text)
-    if not lines:
-        raise AlistFormatError("empty matrix file")
-    if lines[0][1] != MAGIC_FULL:
-        raise AlistFormatError(f"line {lines[0][0]}: expected '{MAGIC_FULL}' header")
-    if len(lines) < 6:
-        raise AlistFormatError("truncated file header")
-    lineno, content = lines[1]
-    toks = content.split()
-    if len(toks) != 2 or toks[0] != "poly":
-        raise AlistFormatError(f"line {lineno}: expected 'poly <int>'")
-    poly = int(toks[1])
+    lines, poly = _header(text, MAGIC_FULL, 6)
     lineno, content = lines[2]
     n_cols, n_rows, q = _ints(lineno, content, 3)
     field = _field_for(q, poly)

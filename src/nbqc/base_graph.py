@@ -103,6 +103,20 @@ class BaseMatrix:
         return f"BaseMatrix({self.m}x{self.n}, {int(self.bits.sum())} ones)"
 
 
+def weight2_base(m: int, n: int) -> BaseMatrix:
+    """A column-weight-2 m x n base matrix.
+
+    Column j joins row pair number j mod C(m, 2), the pairs taken in
+    lexicographic order (0, 1), (0, 2), ..., (m-2, m-1).
+    """
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    bits = np.zeros((m, n), dtype=int)
+    for j in range(n):
+        a, b = pairs[j % len(pairs)]
+        bits[a, j] = bits[b, j] = 1
+    return BaseMatrix(bits)
+
+
 @dataclass(frozen=True)
 class Diagnostics:
     m: int
@@ -338,8 +352,13 @@ class AceVector:
         return range(4, self.depth + 1, 2)
 
     def __str__(self) -> str:
-        body = ", ".join("inf" if math.isinf(v) else str(int(v)) for v in self.values)
+        body = ", ".join(str(inf_or_int(v)) for v in self.values)
         return f"({body})"
+
+
+def inf_or_int(v: float) -> int | str:
+    """An ACE value or a girth as printed and reported: the integer, or "inf"."""
+    return "inf" if math.isinf(v) else int(v)
 
 
 def ace_vector(

@@ -304,10 +304,6 @@ def build_code(lifting: Lifting) -> CodeInstance:
     return CodeInstance(lifting.field, lifting.expand())
 
 
-def encode(code: CodeInstance, info: np.ndarray) -> np.ndarray:
-    return code.encode(info)
-
-
 # ----------------------------------------------------------------------
 # q-ary sum-product decoder
 # ----------------------------------------------------------------------
@@ -330,8 +326,9 @@ class QspaDecoder:
     """Probability-domain belief propagation over GF(2^p), batched over frames."""
 
     def __init__(self, code: CodeInstance) -> None:
-        self.code = code
-        field = code.field
+        # no back-reference to `code`: code.decoder() caches this object, and a
+        # cycle would keep the dense H and its RREF alive until a cyclic GC pass
+        field = self.field = code.field
         q = field.q
         h = code.h
         checks, vars_ = np.nonzero(h)
@@ -394,7 +391,7 @@ class QspaDecoder:
         hard = post.argmax(axis=2)
         if self.n_edges == 0:
             return hard, np.ones(post.shape[0], dtype=bool)
-        contrib = self.code.field.mul_table[
+        contrib = self.field.mul_table[
             self.edge_coeff[None, :], hard[:, self.edge_var]
         ]
         synd = np.bitwise_xor.reduceat(contrib, self.check_starts, axis=1)

@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .alist_io import (
@@ -27,7 +24,7 @@ from .alist_io import (
     serialize_qc,
     sha256_of_file,
 )
-from .base_graph import BaseMatrix, all_cycles, cycle_ace, girth, validate
+from .base_graph import BaseMatrix, all_cycles, cycle_ace, girth, inf_or_int, validate
 from .channel import CodeInstance, SimConfig, run_monte_carlo
 from .lifter import (
     ConstructionConfig,
@@ -43,14 +40,6 @@ from .lifter import (
 LOW_DISTANCE_THRESHOLD = 100
 
 DEFAULT_SEED = 0
-
-
-def _fmt_girth(g: float) -> str:
-    return "inf" if math.isinf(g) else str(int(g))
-
-
-def _fmt_ace(values) -> str:
-    return "(" + ", ".join("inf" if math.isinf(v) else str(int(v)) for v in values) + ")"
 
 
 # ----------------------------------------------------------------------
@@ -82,8 +71,8 @@ def cmd_construct(args) -> int:
     k_floor = n_symbols - base.m * cfg.s
     print(f"wrote {args.out} and {report_path}")
     print(f"N={n_symbols} K>={k_floor} q={cfg.q} s={cfg.s}")
-    print(f"ace vector: {_fmt_ace(report.ace.values)}")
-    print(f"expanded girth: {_fmt_girth(report.expanded_girth)}")
+    print(f"ace vector: {report.ace}")
+    print(f"expanded girth: {inf_or_int(report.expanded_girth)}")
     for length, (unelim, elim) in sorted(report.cycle_counts.items()):
         print(f"length {length}: {elim} eliminated, {unelim} surviving")
     return 0
@@ -112,7 +101,7 @@ def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None
                 f"warning: distance upper bound {bound} <= {LOW_DISTANCE_THRESHOLD}; "
                 "error-floor prone"
             )
-    print(f"base girth: {_fmt_girth(girth(base))}")
+    print(f"base girth: {inf_or_int(girth(base))}")
 
     cycles = all_cycles(base, depth)
     if lifting is not None:
@@ -141,13 +130,13 @@ def cmd_analyze(args) -> int:
     if isinstance(obj, Lifting):
         _analyze_base(obj.base, args.depth, obj)
         print(f"circulant size: {obj.s}, field order: {obj.field.q}")
-        print(f"expanded girth: {_fmt_girth(expanded_girth(obj))}")
+        print(f"expanded girth: {inf_or_int(expanded_girth(obj))}")
         return 0
     field, h = obj
     code = CodeInstance(field, h)
     print(f"expanded matrix: {h.shape[0]} x {h.shape[1]} over GF({field.q})")
     print(f"N={code.n} K={code.k} rank={code.rank} rate={code.rate:.4f}")
-    print(f"girth: {_fmt_girth(girth(h))}")
+    print(f"girth: {inf_or_int(girth(h))}")
     return 0
 
 
@@ -157,6 +146,8 @@ def cmd_analyze(args) -> int:
 def _load_sim_config(path) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("simulation config must be a JSON object")
     known = {
         "modulation",
         "snr_db",
@@ -168,6 +159,11 @@ def _load_sim_config(path) -> SimConfig:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
+    for key in ("modulation", "snr_db", "max_frames"):
+        if key not in data:
+            raise ValueError(f"simulation config lacks required key '{key}'")
+    if not isinstance(data["snr_db"], list):
+        raise ValueError("simulation config key 'snr_db' must be a list of numbers")
     return SimConfig(
         modulation=data["modulation"],
         snr_db=tuple(data["snr_db"]),

@@ -66,12 +66,12 @@ from .base_graph import (
     Cycle,
     all_cycles,
     girth,
+    inf_or_int,
     lex_compare,
 )
 from .gf import GF
-from .ring import Monomial, PolyMatrix, RingPoly
 
-MAX_DEPTH = 12  # cycle submatrices stay within the supported determinant size
+MAX_DEPTH = 12  # bounds the k! candidate matchings per 2k-cycle in _cycle_matchings
 _LOOKUP_CHUNK = 1 << 16  # bounds the (cycles, k!, k) index array of one numpy lookup
 
 
@@ -104,6 +104,20 @@ class ConstructionConfig:
         return GF(self.q.bit_length() - 1)
 
 
+@dataclass(frozen=True)
+class Monomial:
+    """Single-term circulant descriptor beta * x^shift, beta nonzero."""
+
+    beta: int
+    shift: int
+
+    def __post_init__(self) -> None:
+        if self.beta == 0:
+            raise ValueError("monomial coefficient must be nonzero")
+        if self.shift < 0:
+            raise ValueError("monomial shift must be non-negative")
+
+
 @dataclass(eq=True)
 class Lifting:
     """A complete per-edge (beta, shift) assignment for a base matrix."""
@@ -128,21 +142,29 @@ class Lifting:
         """The deterministic baseline: beta=1, shift=0 on every edge."""
         return cls(base, s, field, {pos: Monomial(1, 0) for pos in base.ones()})
 
-    def to_poly_matrix(self) -> PolyMatrix:
-        zero = RingPoly.zero(self.field, self.s)
-        grid = [
-            [
-                self.assignment[(i, j)].to_poly(self.field, self.s)
-                if self.base.bits[i, j]
-                else zero
-                for j in range(self.base.n)
-            ]
-            for i in range(self.base.m)
-        ]
-        return PolyMatrix.from_entries(self.field, self.s, grid)
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (beta, shift) of every base edge, in base.ones() order."""
+        try:
+            monos = [self.assignment[pos] for pos in self.base.ones()]
+        except KeyError as exc:
+            raise RuntimeError(f"base edge {exc.args[0]} has no assignment") from None
+        beta = np.array([m.beta for m in monos], dtype=np.int64)
+        shift = np.array([m.shift for m in monos], dtype=np.int64)
+        return beta, shift
 
     def expand(self) -> np.ndarray:
-        return self.to_poly_matrix().expand()
+        """The (m*s) x (n*s) scalar matrix over GF(q).
+
+        Edge (i, j) with monomial beta * x^z puts beta at row
+        i*s + (t + z) % s, column j*s + t, for t = 0..s-1.
+        """
+        s = self.s
+        beta, shift = self.edge_arrays()
+        cols, rows = np.nonzero(self.base.bits.T)  # base.ones() order
+        t = np.arange(s)
+        out = np.zeros((self.base.m * s, self.base.n * s), dtype=np.int64)
+        out[rows[:, None] * s + (t + shift[:, None]) % s, cols[:, None] * s + t] = beta[:, None]
+        return out
 
 
 @dataclass(frozen=True)
@@ -153,7 +175,7 @@ class AcceptedTrial:
     ace: tuple[float, ...]
 
     def format(self) -> str:
-        body = ", ".join("inf" if math.isinf(v) else str(int(v)) for v in self.ace)
+        body = ", ".join(str(inf_or_int(v)) for v in self.ace)
         return (
             f"edge=({self.edge[0]},{self.edge[1]}) z={self.shift} "
             f"beta={self.beta} ace=({body})"
@@ -173,15 +195,13 @@ class ConstructionReport:
 
     def to_dict(self) -> dict:
         return {
-            "ace": ["inf" if math.isinf(v) else int(v) for v in self.ace.values],
+            "ace": [inf_or_int(v) for v in self.ace.values],
             "depth": self.ace.depth,
             "cycle_counts": {
                 str(length): {"uneliminated": u, "eliminated": e}
                 for length, (u, e) in sorted(self.cycle_counts.items())
             },
-            "expanded_girth": "inf"
-            if math.isinf(self.expanded_girth)
-            else int(self.expanded_girth),
+            "expanded_girth": inf_or_int(self.expanded_girth),
             "seed": self.seed,
             "trials_total": self.trials_total,
             "trials_accepted": self.trials_accepted,
@@ -193,28 +213,6 @@ class ConstructionReport:
 # ----------------------------------------------------------------------
 # cycle elimination test
 # ----------------------------------------------------------------------
-def cycle_submatrix(lifting: Lifting, cycle: Cycle) -> PolyMatrix:
-    """The polynomial submatrix over the cycle's rows and columns.
-
-    Includes every assigned entry inside rows(cycle) x cols(cycle), not
-    just the positions the cycle walks through.
-    """
-    rows = sorted(cycle.rows)
-    cols = sorted(cycle.cols)
-    zero = RingPoly.zero(lifting.field, lifting.s)
-    grid = []
-    for i in rows:
-        grid.append(
-            [
-                lifting.assignment[(i, j)].to_poly(lifting.field, lifting.s)
-                if lifting.base.bits[i, j]
-                else zero
-                for j in cols
-            ]
-        )
-    return PolyMatrix.from_entries(lifting.field, lifting.s, grid)
-
-
 def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Concatenation of arange(start[t], start[t] + count[t]) over t."""
     offset = np.cumsum(count) - count
@@ -312,17 +310,13 @@ def cycles_eliminated(lifting: Lifting, cycles: list[Cycle]) -> np.ndarray:
     """Per cycle, whether its polynomial submatrix has nonzero determinant.
 
     The determinant is the per-shift xor of the matching terms of the
-    submatrix (see the module docstring); it equals the cofactor
-    determinant of cycle_submatrix.
+    submatrix over rows(cycle) x cols(cycle) (see the module docstring).
     """
     log, exp = _log_exp(lifting.field)
-    try:
-        monos = [lifting.assignment[pos] for pos in lifting.base.ones()]
-    except KeyError as exc:
-        raise RuntimeError(f"base edge {exc.args[0]} has no assignment") from None
-    # per-edge arrays in base.ones() order, plus the padding edge
-    edge_log = np.array([log[m.beta] for m in monos] + [0], dtype=np.int64)
-    edge_shift = np.array([m.shift for m in monos] + [0], dtype=np.int64)
+    beta, shift = lifting.edge_arrays()
+    # per-edge arrays plus the padding edge
+    edge_log = np.append(log[beta], 0)
+    edge_shift = np.append(shift, 0)
     owner, edges = _cycle_matchings(lifting.base, cycles)
     log_sum, shift_sum = _matching_sums(edges, edge_log, edge_shift, len(exp), lifting.s)
     nonzero, _, _ = _xor_terms(owner, shift_sum, exp[log_sum], lifting.s)

@@ -67,20 +67,3 @@ def gf_rref(field: GF, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivot_cols.append(col)
         row += 1
     return r, pivot_cols
-
-
-def gf_rank(field: GF, a: np.ndarray) -> int:
-    return len(gf_rref(field, a)[1])
-
-
-def gf_nullity(field: GF, a: np.ndarray) -> int:
-    a = np.asarray(a)
-    return a.shape[1] - gf_rank(field, a)
-
-
-def gf_is_singular(field: GF, a: np.ndarray) -> bool:
-    """True when a square matrix over GF(q) has rank below its dimension."""
-    a = np.asarray(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("singularity test needs a square matrix")
-    return gf_rank(field, a) < a.shape[0]

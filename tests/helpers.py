@@ -2,19 +2,218 @@
 
 Deliberately written without reusing the library's internals: carry-less
 field multiplication, plain-Python Gaussian elimination, a permutation
-based cycle enumerator, a direct xor-convolution, and a one-trial-at-a-time
-greedy construction on the cofactor determinant.
+based cycle enumerator, a direct xor-convolution, the dense circulant
+algebra (polynomials mod x^s - 1, their cofactor determinant and their
+block-by-block expansion), and a one-trial-at-a-time greedy construction
+on the cofactor determinant.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
 
 from nbqc.base_graph import BaseMatrix, Cycle, ace_vector, girth, lex_compare
-from nbqc.lifter import AcceptedTrial, ConstructionReport, Lifting, cycle_submatrix
-from nbqc.ring import Monomial
+from nbqc.gf import GF
+from nbqc.lifter import AcceptedTrial, ConstructionReport, Lifting, Monomial
+
+# ----------------------------------------------------------------------
+# polynomials modulo x^s - 1 over GF(q): the algebra of scaled circulants
+#
+# A RingPoly stores the dense coefficient vector of a residue class; its
+# s x s circulant has that vector as column 0 (coefficient of x^t in row
+# t), each later column the cyclic downward shift of the previous one, so
+# beta*x^z expands to beta times the permutation circulant whose column-0
+# entry sits in row z.  PolyMatrix is a dense grid of RingPoly entries with
+# the cofactor determinant (characteristic 2: no signs) and the
+# block-by-block expansion.
+# ----------------------------------------------------------------------
+DETERMINANT_MAX_DIM = 6
 
 
+@dataclass(frozen=True)
+class RingPoly:
+    """Element of GF(q)[x]/(x^s - 1); coeffs[t] is the coefficient of x^t."""
+
+    field: GF
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.coeffs) == 0:
+            raise ValueError("circulant size must be positive")
+        if any(c < 0 or c >= self.field.q for c in self.coeffs):
+            raise ValueError("coefficient out of field range")
+
+    @property
+    def s(self) -> int:
+        return len(self.coeffs)
+
+    @classmethod
+    def zero(cls, field: GF, s: int) -> "RingPoly":
+        return cls(field, (0,) * s)
+
+    @classmethod
+    def one(cls, field: GF, s: int) -> "RingPoly":
+        return cls(field, (1,) + (0,) * (s - 1))
+
+    @classmethod
+    def monomial_poly(cls, field: GF, s: int, beta: int, shift: int) -> "RingPoly":
+        """beta * x^shift as a dense ring element."""
+        if not 0 <= shift < s:
+            raise ValueError(f"shift {shift} out of range [0, {s})")
+        coeffs = [0] * s
+        coeffs[shift] = beta
+        return cls(field, tuple(coeffs))
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def _check_compatible(self, other: "RingPoly") -> None:
+        if self.field != other.field:
+            raise ValueError("operands belong to different fields")
+        if self.s != other.s:
+            raise ValueError(f"circulant size mismatch: {self.s} != {other.s}")
+
+    def __add__(self, other: "RingPoly") -> "RingPoly":
+        self._check_compatible(other)
+        add = self.field.add
+        return RingPoly(
+            self.field, tuple(add(a, b) for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __mul__(self, other: "RingPoly") -> "RingPoly":
+        self._check_compatible(other)
+        field, s = self.field, self.s
+        out = [0] * s
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b == 0:
+                    continue
+                k = i + j
+                if k >= s:
+                    k -= s
+                out[k] = field.add(out[k], field.mul(a, b))
+        return RingPoly(field, tuple(out))
+
+    def expand(self) -> np.ndarray:
+        """The s x s circulant whose first column is the coefficient vector."""
+        s = self.s
+        out = np.zeros((s, s), dtype=np.int64)
+        for t, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            rows = (np.arange(s) + t) % s
+            out[rows, np.arange(s)] = c
+        return out
+
+
+@dataclass(frozen=True)
+class PolyMatrix:
+    """Dense matrix with entries in GF(q)[x]/(x^s - 1)."""
+
+    field: GF
+    s: int
+    entries: tuple[tuple[RingPoly, ...], ...]
+
+    def __post_init__(self) -> None:
+        for row in self.entries:
+            if len(row) != len(self.entries[0]):
+                raise ValueError("ragged entry grid")
+            for e in row:
+                if e.field != self.field or e.s != self.s:
+                    raise ValueError("entry does not match matrix field/size")
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
+
+    @classmethod
+    def from_entries(cls, field: GF, s: int, grid) -> "PolyMatrix":
+        return cls(field, s, tuple(tuple(row) for row in grid))
+
+    @classmethod
+    def identity(cls, field: GF, s: int, k: int) -> "PolyMatrix":
+        one = RingPoly.one(field, s)
+        zero = RingPoly.zero(field, s)
+        return cls.from_entries(
+            field, s, [[one if i == j else zero for j in range(k)] for i in range(k)]
+        )
+
+    def determinant(self) -> RingPoly:
+        """Cofactor-expansion determinant (characteristic 2, no signs).
+
+        Supported up to DETERMINANT_MAX_DIM x DETERMINANT_MAX_DIM, enough
+        for the submatrices of cycles of length up to 12.
+        """
+        if self.rows != self.cols:
+            raise ValueError(f"determinant of non-square {self.rows}x{self.cols}")
+        if self.rows > DETERMINANT_MAX_DIM:
+            raise ValueError(
+                f"determinant supported up to dimension {DETERMINANT_MAX_DIM}, "
+                f"got {self.rows}"
+            )
+        return _cofactor_det(self.field, self.s, self.entries)
+
+    def expand(self) -> np.ndarray:
+        """Scalar matrix over GF(q): every entry becomes its s x s circulant."""
+        m, n, s = self.rows, self.cols, self.s
+        out = np.zeros((m * s, n * s), dtype=np.int64)
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                if not e.is_zero():
+                    out[i * s : (i + 1) * s, j * s : (j + 1) * s] = e.expand()
+        return out
+
+
+def _cofactor_det(field: GF, s: int, entries) -> RingPoly:
+    k = len(entries)
+    if k == 1:
+        return entries[0][0]
+    acc = RingPoly.zero(field, s)
+    for j in range(k):
+        pivot = entries[0][j]
+        if pivot.is_zero():
+            continue
+        minor = tuple(
+            tuple(row[c] for c in range(k) if c != j) for row in entries[1:]
+        )
+        acc = acc + pivot * _cofactor_det(field, s, minor)
+    return acc
+
+
+# ----------------------------------------------------------------------
+# the dense circulant algebra of a lifting
+# ----------------------------------------------------------------------
+def _entry(lifting: Lifting, i: int, j: int) -> RingPoly:
+    if not lifting.base.bits[i, j]:
+        return RingPoly.zero(lifting.field, lifting.s)
+    mono = lifting.assignment[(i, j)]
+    return RingPoly.monomial_poly(lifting.field, lifting.s, mono.beta, mono.shift)
+
+
+def poly_matrix(lifting: Lifting) -> PolyMatrix:
+    """The lifting as a dense m x n grid of ring elements."""
+    grid = [[_entry(lifting, i, j) for j in range(lifting.base.n)] for i in range(lifting.base.m)]
+    return PolyMatrix.from_entries(lifting.field, lifting.s, grid)
+
+
+def cycle_submatrix(lifting: Lifting, cycle: Cycle) -> PolyMatrix:
+    """The polynomial submatrix over the cycle's rows and columns.
+
+    Includes every assigned entry inside rows(cycle) x cols(cycle), not
+    just the positions the cycle walks through.
+    """
+    grid = [[_entry(lifting, i, j) for j in sorted(cycle.cols)] for i in sorted(cycle.rows)]
+    return PolyMatrix.from_entries(lifting.field, lifting.s, grid)
+
+
+# ----------------------------------------------------------------------
 def clmul_reduce(a: int, b: int, poly: int, p: int) -> int:
     """Carry-less multiply of two GF(2^p) elements, reduced modulo poly."""
     acc = 0
@@ -148,7 +347,7 @@ def reference_greedy_lift(h: BaseMatrix, cfg) -> tuple[Lifting, ConstructionRepo
     report = ConstructionReport(
         ace=ace_max,
         cycle_counts=counts,
-        expanded_girth=girth(lifting.expand()),
+        expanded_girth=girth(poly_matrix(lifting).expand()),
         seed=cfg.rng_seed,
         trials_total=trials,
         trials_accepted=len(accepted),

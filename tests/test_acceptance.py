@@ -8,8 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import brute_force_cycles, plain_nullity, plain_rank, random_base_matrix
-from nbqc.base_graph import BaseMatrix, all_cycles, cycles_through
+from helpers import (
+    PolyMatrix,
+    RingPoly,
+    brute_force_cycles,
+    cycle_submatrix,
+    plain_nullity,
+    plain_rank,
+    random_base_matrix,
+)
+from nbqc.base_graph import BaseMatrix, all_cycles, cycles_through, weight2_base
 from nbqc.channel import (
     SimConfig,
     build_code,
@@ -25,27 +33,17 @@ from nbqc.gf import GF
 from nbqc.lifter import (
     ConstructionConfig,
     Lifting,
+    Monomial,
     cycle_eliminated,
-    cycle_submatrix,
     distance_upper_bound,
     greedy_lift,
     rate_lower_bound,
 )
-from nbqc.ring import Monomial, PolyMatrix, RingPoly
 
 
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def weight2_base(m: int, n: int) -> BaseMatrix:
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    bits = np.zeros((m, n), dtype=int)
-    for j in range(n):
-        a, b = pairs[j % len(pairs)]
-        bits[a, j] = bits[b, j] = 1
-    return BaseMatrix(bits)
 
 
 # ----------------------------------------------------------------------

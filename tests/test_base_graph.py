@@ -314,8 +314,7 @@ def test_expanded_tree_girth_against_enumeration_oracle():
     # lifting an acyclic base yields an acyclic expansion; cross-check the
     # BFS girth against the exhaustive enumerator on the expanded pattern
     from nbqc.gf import GF
-    from nbqc.lifter import Lifting
-    from nbqc.ring import Monomial
+    from nbqc.lifter import Lifting, Monomial
 
     lifting = Lifting(
         EX_BASE,

@@ -23,8 +23,7 @@ from nbqc.channel import (
     wilson_interval,
 )
 from nbqc.gf import GF
-from nbqc.lifter import Lifting
-from nbqc.ring import Monomial
+from nbqc.lifter import Lifting, Monomial
 
 F4 = GF(2)
 F16 = GF(4)

@@ -1,10 +1,10 @@
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from nbqc.alist_io import parse_qc
+from nbqc.base_graph import weight2_base
 from nbqc.channel import CodeInstance, SimConfig, run_monte_carlo
 from nbqc.cli import main
 
@@ -17,14 +17,7 @@ def write(path, text):
 
 
 def make_weight2_base(m, n):
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    bits = np.zeros((m, n), dtype=int)
-    for j in range(n):
-        a, b = pairs[j % len(pairs)]
-        bits[a, j] = bits[b, j] = 1
-    return "\n".join(
-        [f"{m} {n}"] + [" ".join(str(v) for v in row) for row in bits]
-    ) + "\n"
+    return weight2_base(m, n).to_text()
 
 
 # ----------------------------------------------------------------------
@@ -252,3 +245,23 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
         json.dumps({"modulation": "bpsk", "snr_db": [1], "max_frames": 5, "bogus": 1}),
     )
     assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 1
+
+
+@pytest.mark.parametrize(
+    "config,named",
+    [
+        ({"modulation": "bpsk", "max_frames": 5}, "snr_db"),
+        ({"snr_db": [1.0], "max_frames": 5}, "modulation"),
+        ({"modulation": "bpsk", "snr_db": [1.0]}, "max_frames"),
+        ({"modulation": "bpsk", "snr_db": 5, "max_frames": 5}, "snr_db"),
+        ([{"modulation": "bpsk"}], "JSON object"),
+    ],
+)
+def test_simulate_bad_config_fails_with_message(tmp_path, capsys, config, named):
+    base = write(tmp_path / "ex1.txt", EX1)
+    alist = str(tmp_path / "ex1.alist")
+    main(["construct", base, "--s", "3", "--q", "4", "--seed", "2", "--out", alist])
+    cfg = write(tmp_path / "bad.json", json.dumps(config))
+    assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err

@@ -14,8 +14,7 @@ from nbqc.alist_io import (
 )
 from nbqc.base_graph import BaseMatrix
 from nbqc.gf import GF
-from nbqc.lifter import Lifting
-from nbqc.ring import Monomial
+from nbqc.lifter import Lifting, Monomial
 
 F4 = GF(2)
 F16 = GF(4)
@@ -142,6 +141,16 @@ def test_full_parse_errors():
         parse_full("\n".join(good.splitlines()[:-2]) + "\n")
     with pytest.raises(AlistFormatError):
         parse_full("")
+
+
+def test_bad_poly_line_is_line_numbered():
+    lifting = example_lifting()
+    for parse, good in (
+        (parse_full, serialize_full(F4, lifting.expand())),
+        (parse_qc, serialize_qc(lifting)),
+    ):
+        with pytest.raises(AlistFormatError, match="^line 2: "):
+            parse(good.replace("poly 7", "poly x7", 1))
 
 
 def test_serialize_full_validates_range():

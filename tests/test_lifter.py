@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    cycle_submatrix,
     plain_nullity,
+    poly_matrix,
     random_base_matrix,
     random_weighted_base,
     reference_greedy_lift,
@@ -18,15 +20,14 @@ from nbqc.gf import GF
 from nbqc.lifter import (
     ConstructionConfig,
     Lifting,
+    Monomial,
     cycle_eliminated,
-    cycle_submatrix,
     cycles_eliminated,
     distance_upper_bound,
     expanded_girth,
     greedy_lift,
     rate_lower_bound,
 )
-from nbqc.ring import Monomial
 
 F4 = GF(2)
 F16 = GF(4)
@@ -171,6 +172,19 @@ def test_trivial_expansion_is_identity_blocks():
     lifting = Lifting.trivial(ALL2, 4, F4)
     expanded = lifting.expand()
     assert np.array_equal(expanded, np.kron(ALL2.bits, np.eye(4, dtype=int)))
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 64])
+def test_expansion_matches_dense_circulant_oracle(q):
+    field = GF(q.bit_length() - 1)
+    rng = np.random.default_rng(q)
+    for s in range(1, 10):
+        for _ in range(3):
+            h = random_base_matrix(rng, int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+            lifting = random_lifting(rng, h, s, field)
+            expanded = lifting.expand()
+            assert expanded.dtype == np.int64
+            assert np.array_equal(expanded, poly_matrix(lifting).expand())
 
 
 # ----------------------------------------------------------------------

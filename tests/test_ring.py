@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import PolyMatrix, RingPoly
 from nbqc.gf import GF
 from nbqc.linalg import gf_matmul
-from nbqc.ring import Monomial, PolyMatrix, RingPoly, mono_mul
+from nbqc.lifter import Monomial
 
 F4 = GF(2)
 F16 = GF(4)
@@ -70,29 +71,9 @@ def test_ring_axioms_random(seed, s, field):
 # ----------------------------------------------------------------------
 # monomials
 # ----------------------------------------------------------------------
-def test_mono_mul_basics():
-    assert mono_mul(F4, 5, Monomial(2, 0), Monomial(1, 0)) == Monomial(2, 0)
-    assert mono_mul(F4, 5, Monomial(1, 3), Monomial(1, 4)) == Monomial(1, 2)
-
-
 def test_mono_zero_beta_rejected():
     with pytest.raises(ValueError):
         Monomial(0, 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(2, 8),
-    st.integers(1, 15),
-    st.integers(1, 15),
-    st.integers(0, 7),
-    st.integers(0, 7),
-)
-def test_mono_mul_agrees_with_ring_mul(s, b1, b2, z1, z2):
-    m1, m2 = Monomial(b1, z1 % s), Monomial(b2, z2 % s)
-    got = mono_mul(F16, s, m1, m2)
-    expected = m1.to_poly(F16, s) * m2.to_poly(F16, s)
-    assert got.to_poly(F16, s) == expected
 
 
 # ----------------------------------------------------------------------
