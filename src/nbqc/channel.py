@@ -8,9 +8,12 @@ demap to per-symbol probability vectors over GF(q), and decode with
 probability-domain belief propagation (flooding schedule, per-edge
 normalization, no damping).
 
-Check-node updates are convolutions over the additive group of GF(2^p);
-they are computed with the length-q Walsh-Hadamard transform after
-permuting each incoming message by its edge coefficient.  The decoder is
+Check-node updates are convolutions over the additive group of GF(2^p),
+computed as products in the Walsh-Hadamard domain after permuting each
+incoming message by its edge coefficient; each transform is one matrix
+product with the q x q Sylvester-Hadamard matrix.  Messages sit in
+degree-class blocks, in check order for the check update and in variable
+order for the variable update (see `_degree_layout`).  The decoder is
 vectorized over a batch of frames, with per-frame early exit on a zero
 syndrome; batching never changes any individual frame's result.
 
@@ -307,19 +310,44 @@ def build_code(lifting: Lifting) -> CodeInstance:
 # ----------------------------------------------------------------------
 # q-ary sum-product decoder
 # ----------------------------------------------------------------------
-def _wht(a: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform along the last axis (length a power of 2)."""
-    q = a.shape[-1]
-    out = a
-    h = 1
-    while h < q:
-        v = out.reshape(*out.shape[:-1], q // (2 * h), 2, h)
-        new = np.empty_like(v)
-        new[..., 0, :] = v[..., 0, :] + v[..., 1, :]
-        new[..., 1, :] = v[..., 0, :] - v[..., 1, :]
-        out = new.reshape(*a.shape)
-        h *= 2
-    return out
+def _degree_layout(owner: np.ndarray, other: np.ndarray, n_owners: int):
+    """Degree-class edge order of checks or variables: (order, owners, classes).
+
+    `owners` ranks the owners by (degree, index); an owner's edges take
+    slots 0..d-1 by increasing `other`.  A class (edges, d, ranks) says
+    that order[edges] is the slot-major (d, n) block of the edges of
+    owners[ranks]: a (frames, d, n, q) view of messages in this order.
+    """
+    deg = np.bincount(owner, minlength=n_owners)
+    by_owner = np.lexsort((other, owner))
+    slot = np.empty_like(by_owner)
+    slot[by_owner] = np.arange(owner.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    order = np.lexsort((owner, slot, deg[owner]))
+    degrees, counts = np.unique(deg, return_counts=True)
+    ends, firsts = np.cumsum(degrees * counts), np.cumsum(counts) - counts
+    spans = zip(degrees.tolist(), counts.tolist(), ends.tolist(), firsts.tolist())
+    classes = [(slice(e - d * c, e), d, slice(f, f + c)) for d, c, e, f in spans if d]
+    return order, np.argsort(deg, kind="stable"), classes
+
+
+def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
+    """out[:, k] = product of g[:, j] over j != k, for (f, d, n, q) blocks.
+
+    A prefix scan g0*g1*... fills `out`, then a running suffix
+    g[d-1]*g[d-2]*... multiplies into it; a swap when d = 2.
+    """
+    d = g.shape[1]
+    if d == 2:
+        out[:, 0], out[:, 1] = g[:, 1], g[:, 0]
+        return
+    out[:, 0] = 1.0
+    for k in range(1, d):
+        np.multiply(out[:, k - 1], g[:, k - 1], out=out[:, k])
+    suffix = g[:, d - 1].copy()
+    for k in range(d - 2, -1, -1):
+        out[:, k] *= suffix
+        if k:
+            suffix *= g[:, k]
 
 
 class QspaDecoder:
@@ -329,73 +357,46 @@ class QspaDecoder:
         # no back-reference to `code`: code.decoder() caches this object, and a
         # cycle would keep the dense H and its RREF alive until a cyclic GC pass
         field = self.field = code.field
-        q = field.q
+        q = self.q = field.q
         h = code.h
-        checks, vars_ = np.nonzero(h)
-        order = np.lexsort((vars_, checks))  # edges grouped by check
-        self.edge_check = checks[order]
-        self.edge_var = vars_[order]
-        self.edge_coeff = h[self.edge_check, self.edge_var]
-        e = self.edge_check.size
-        self.n_edges = e
-        self.n_checks = h.shape[0]
-        self.n_vars = h.shape[1]
-        self.q = q
+        self.n_checks, self.n_vars = h.shape
+        checks, vars_ = np.nonzero(h)  # edges grouped by check, for the syndrome
+        self.n_edges = checks.size
+        self.edge_var, self.edge_coeff = vars_, h[checks, vars_]
+        self.check_starts = np.flatnonzero(np.diff(checks, prepend=-1))
 
-        mul = field.mul_table
-        inv_coeff = np.array(
-            [field.inv(int(c)) for c in self.edge_coeff], dtype=np.int64
-        )
-        xs = np.arange(q)
-        # variable->check: message about t = coeff * x, so index by coeff^-1 * t
-        self.perm_vc = mul[inv_coeff[:, None], xs[None, :]]
-        # check->variable: message about x recovered from t = coeff * x
-        self.perm_cv = mul[self.edge_coeff[:, None], xs[None, :]]
-        self._ear = np.arange(e)[:, None]
+        c_order, _, self.check_classes = _degree_layout(checks, vars_, self.n_checks)
+        v_order, self.var_order, self.var_classes = _degree_layout(vars_, checks, self.n_vars)
+        self.var_pos = np.argsort(self.var_order)
+        # variable-order edges read the prior of their variable's rank
+        self.edge_vrank = self.var_pos[vars_[v_order]]
 
-        # padded-slot layout for leave-one-out products at checks and variables
-        self.check_pad, self.edge_cslot = self._slot_layout(self.edge_check, self.n_checks)
-        self.var_pad, self.edge_vslot = self._slot_layout(self.edge_var, self.n_vars)
-        counts = np.bincount(self.edge_check, minlength=self.n_checks)
-        self.check_starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
+        # check->variable: message about x recovered from t = coeff * x;
+        # variable->check: message about t = coeff * x, the inverse permutation
+        perm_cv = field.mul_table[self.edge_coeff[:, None], np.arange(q)]
+        perm_vc = np.argsort(perm_cv, axis=1)
+        # flat (edge * q + symbol) gathers between the two orders
+        v_pos, c_pos = np.argsort(v_order), np.argsort(c_order)
+        self.gather_vc = (v_pos[c_order, None] * q + perm_vc[c_order]).ravel()
+        self.gather_cv = (c_pos[v_order, None] * q + perm_cv[v_order]).ravel()
 
-    def _slot_layout(self, owner: np.ndarray, n_owners: int):
-        counts = np.bincount(owner, minlength=n_owners)
-        width = int(counts.max()) if counts.size else 0
-        pad = np.full((n_owners, max(width, 1)), self.n_edges, dtype=np.int64)
-        slot_of_edge = np.zeros(self.n_edges, dtype=np.int64)
-        fill = np.zeros(n_owners, dtype=np.int64)
-        for e_idx in range(self.n_edges):
-            o = owner[e_idx]
-            pad[o, fill[o]] = e_idx
-            slot_of_edge[e_idx] = fill[o]
-            fill[o] += 1
-        return pad, slot_of_edge
-
-    @staticmethod
-    def _loo_product(g: np.ndarray) -> np.ndarray:
-        """Leave-one-out products along axis 2 via prefix/suffix scans."""
-        f, n, d, q = g.shape
-        prefix = np.ones_like(g)
-        suffix = np.ones_like(g)
-        for t in range(1, d):
-            prefix[:, :, t] = prefix[:, :, t - 1] * g[:, :, t - 1]
-            suffix[:, :, d - 1 - t] = suffix[:, :, d - t] * g[:, :, d - t]
-        return prefix * suffix
+        # Sylvester-Hadamard matrix H[i, j] = (-1)^popcount(i & j): the WHT is x @ H
+        self.hadamard = np.ones((1, 1))
+        for _ in range(field.p):
+            self.hadamard = np.kron(self.hadamard, [[1.0, 1.0], [1.0, -1.0]])
+        self.hadamard_inv = self.hadamard / q
 
     def _normalize_edges(self, msgs: np.ndarray) -> np.ndarray:
-        msgs = np.maximum(msgs, 0.0) + _PROB_FLOOR
-        return msgs / msgs.sum(axis=2, keepdims=True)
+        """Floor and normalize each edge's message, in place."""
+        np.maximum(msgs, 0.0, out=msgs)
+        msgs += _PROB_FLOOR
+        msgs /= msgs.sum(axis=2, keepdims=True)
+        return msgs
 
-    def _hard_and_converged(self, post: np.ndarray):
-        hard = post.argmax(axis=2)
-        if self.n_edges == 0:
-            return hard, np.ones(post.shape[0], dtype=bool)
-        contrib = self.field.mul_table[
-            self.edge_coeff[None, :], hard[:, self.edge_var]
-        ]
+    def _converged(self, hard: np.ndarray) -> np.ndarray:
+        contrib = self.field.mul_table[self.edge_coeff[None, :], hard[:, self.edge_var]]
         synd = np.bitwise_xor.reduceat(contrib, self.check_starts, axis=1)
-        return hard, ~synd.any(axis=1)
+        return ~synd.any(axis=1)
 
     def decode_batch(
         self, priors: np.ndarray, max_iter: int
@@ -410,59 +411,58 @@ class QspaDecoder:
         priors = np.asarray(priors, dtype=float)
         if priors.ndim == 2:
             priors = priors[None]
-        f = priors.shape[0]
         if priors.shape[1] != self.n_vars or priors.shape[2] != self.q:
             raise ValueError("prior shape does not match the code")
 
-        words = np.zeros((f, self.n_vars), dtype=np.int64)
-        converged = np.zeros(f, dtype=bool)
-        iterations = np.full(f, max_iter, dtype=np.int64)
-
-        hard, ok = self._hard_and_converged(priors)
-        words[ok] = hard[ok]
-        iterations[ok] = 0
-        converged[:] = ok
-        words[~converged] = hard[~converged]
+        words = priors.argmax(axis=2)
+        converged = self._converged(words)
+        iterations = np.where(converged, 0, max_iter)
         if converged.all() or max_iter == 0 or self.n_edges == 0:
             return words, converged, iterations
 
-        # iterate only the still-active frames; converged frames are frozen
-        active = np.nonzero(~converged)[0]
-        priors_a = priors[active]
-        v2c = self._normalize_edges(priors_a[:, self.edge_var, :].copy())
+        # iterate only the `a` still-active frames, whose messages fill the first
+        # rows of two work buffers; priors and posteriors are kept in var_order
+        q = self.q
+        active = np.flatnonzero(~converged)
+        a = active.size
+        priors_a = priors[active][:, self.var_order]
+        buf = np.empty((2, a, self.n_edges, q))
+        np.take(priors_a, self.edge_vrank, axis=1, out=buf[1], mode="clip")
+        v2c = self._normalize_edges(buf[1])
 
         for it in range(1, max_iter + 1):
-            ones_pad = np.ones((active.size, 1, self.q))
+            t, u = buf[0, :a], buf[1, :a]
             # check-node update in the transform domain
-            t = v2c[:, self._ear, self.perm_vc]
-            t = _wht(t)
-            tx = np.concatenate([t, ones_pad], axis=1)
-            g = tx[:, self.check_pad, :]
-            loo = self._loo_product(g)
-            c2v = loo[:, self.edge_check, self.edge_cslot, :]
-            c2v = _wht(c2v) / self.q
-            c2v = c2v[:, self._ear, self.perm_cv]
-            c2v = self._normalize_edges(c2v)
+            np.take(v2c.reshape(a, -1), self.gather_vc, axis=1, out=t.reshape(a, -1), mode="clip")
+            np.matmul(t.reshape(-1, q), self.hadamard, out=u.reshape(-1, q))
+            for edges, d, _ in self.check_classes:
+                _leave_one_out(u[:, edges].reshape(a, d, -1, q), t[:, edges].reshape(a, d, -1, q))
+            np.matmul(t.reshape(-1, q), self.hadamard_inv, out=u.reshape(-1, q))
+            np.take(u.reshape(a, -1), self.gather_cv, axis=1, out=t.reshape(a, -1), mode="clip")
+            c2v = self._normalize_edges(t)
 
             # variable-node update and posterior
-            cx = np.concatenate([c2v, ones_pad], axis=1)
-            gv = cx[:, self.var_pad, :]
-            post = priors_a * gv.prod(axis=2)
-            loov = self._loo_product(gv)
-            v2c = priors_a[:, self.edge_var, :] * loov[:, self.edge_var, self.edge_vslot, :]
-            v2c = self._normalize_edges(v2c)
+            post = priors_a.copy()  # a variable without edges keeps its prior
+            for edges, d, owners in self.var_classes:
+                g = c2v[:, edges].reshape(a, d, -1, q)
+                loo = u[:, edges].reshape(a, d, -1, q)
+                _leave_one_out(g, loo)
+                post[:, owners] *= loo[:, -1] * g[:, -1]
+                loo *= priors_a[:, None, owners]
+            v2c = self._normalize_edges(u)
 
-            hard, ok = self._hard_and_converged(post)
+            hard = post.argmax(axis=2)[:, self.var_pos]
+            ok = self._converged(hard)
             words[active] = hard
             iterations[active[ok]] = it
             converged[active[ok]] = True
+            if ok.all():
+                break
             if ok.any():
-                keep = ~ok
-                active = active[keep]
-                if active.size == 0:
-                    break
-                priors_a = priors_a[keep]
-                v2c = v2c[keep]
+                active, priors_a = active[~ok], priors_a[~ok]
+                a = active.size
+                buf[1, :a] = v2c[~ok]
+                v2c = buf[1, :a]
 
         return words, converged, iterations
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -143,6 +144,14 @@ def cmd_analyze(args) -> int:
 # ----------------------------------------------------------------------
 # simulate
 # ----------------------------------------------------------------------
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
 def _load_sim_config(path) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -162,8 +171,14 @@ def _load_sim_config(path) -> SimConfig:
     for key in ("modulation", "snr_db", "max_frames"):
         if key not in data:
             raise ValueError(f"simulation config lacks required key '{key}'")
-    if not isinstance(data["snr_db"], list):
-        raise ValueError("simulation config key 'snr_db' must be a list of numbers")
+    snr = data["snr_db"]
+    if not isinstance(snr, list) or not all(_is_finite_number(v) for v in snr):
+        raise ValueError("simulation config key 'snr_db' must be a list of finite numbers")
+    if not isinstance(data["modulation"], str):
+        raise ValueError("simulation config key 'modulation' must be a string")
+    for key in ("max_frames", "max_errors", "decoder_max_iterations", "seed"):
+        if key in data and not _is_int(data[key]):
+            raise ValueError(f"simulation config key '{key}' must be an integer")
     return SimConfig(
         modulation=data["modulation"],
         snr_db=tuple(data["snr_db"]),

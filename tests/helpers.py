@@ -2,10 +2,11 @@
 
 Deliberately written without reusing the library's internals: carry-less
 field multiplication, plain-Python Gaussian elimination, a permutation
-based cycle enumerator, a direct xor-convolution, the dense circulant
-algebra (polynomials mod x^s - 1, their cofactor determinant and their
-block-by-block expansion), and a one-trial-at-a-time greedy construction
-on the cofactor determinant.
+based cycle enumerator, a direct xor-convolution, the butterfly
+Walsh-Hadamard transform and the padded-slot FFT-QSPA decoder, the dense
+circulant algebra (polynomials mod x^s - 1, their cofactor determinant and
+their block-by-block expansion), and a one-trial-at-a-time greedy
+construction on the cofactor determinant.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from nbqc.base_graph import BaseMatrix, Cycle, ace_vector, girth, lex_compare
+from nbqc.channel import _PROB_FLOOR
 from nbqc.gf import GF
 from nbqc.lifter import AcceptedTrial, ConstructionReport, Lifting, Monomial
 
@@ -290,6 +292,134 @@ def direct_xor_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for y in range(q):
             out[x ^ y] += a[x] * b[y]
     return out
+
+
+# ----------------------------------------------------------------------
+# the padded-slot FFT-QSPA decoder with the butterfly transform
+#
+# Every check (variable) owns a row of slots as wide as the largest
+# degree; empty slots point at a padding message of ones, so each
+# leave-one-out product is one prefix/suffix scan over the padded rows.
+# ----------------------------------------------------------------------
+def _wht(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis (length a power of 2)."""
+    q = a.shape[-1]
+    out = a
+    h = 1
+    while h < q:
+        v = out.reshape(*out.shape[:-1], q // (2 * h), 2, h)
+        new = np.empty_like(v)
+        new[..., 0, :] = v[..., 0, :] + v[..., 1, :]
+        new[..., 1, :] = v[..., 0, :] - v[..., 1, :]
+        out = new.reshape(*a.shape)
+        h *= 2
+    return out
+
+
+def _slot_layout(owner: np.ndarray, n_owners: int, n_edges: int):
+    counts = np.bincount(owner, minlength=n_owners)
+    width = int(counts.max()) if counts.size else 0
+    pad = np.full((n_owners, max(width, 1)), n_edges, dtype=np.int64)
+    slot_of_edge = np.zeros(n_edges, dtype=np.int64)
+    fill = np.zeros(n_owners, dtype=np.int64)
+    for e_idx in range(n_edges):
+        o = owner[e_idx]
+        pad[o, fill[o]] = e_idx
+        slot_of_edge[e_idx] = fill[o]
+        fill[o] += 1
+    return pad, slot_of_edge
+
+
+def _loo_product(g: np.ndarray) -> np.ndarray:
+    """Leave-one-out products along axis 2 via prefix/suffix scans."""
+    f, n, d, q = g.shape
+    prefix = np.ones_like(g)
+    suffix = np.ones_like(g)
+    for t in range(1, d):
+        prefix[:, :, t] = prefix[:, :, t - 1] * g[:, :, t - 1]
+        suffix[:, :, d - 1 - t] = suffix[:, :, d - t] * g[:, :, d - t]
+    return prefix * suffix
+
+
+def reference_decode_batch(code, priors: np.ndarray, max_iter: int):
+    """(words, converged, iterations) of flooding FFT-QSPA on a prior batch.
+
+    The same message schedule, normalization and per-frame early exit as
+    `QspaDecoder.decode_batch`, on the padded-slot layout.  H must have no
+    all-zero row: the syndrome's reduceat would give an empty check the
+    next check's first term.
+    """
+    field, h = code.field, code.h
+    q = field.q
+    n_checks, n_vars = h.shape
+    checks, vars_ = np.nonzero(h)
+    order = np.lexsort((vars_, checks))
+    edge_check, edge_var = checks[order], vars_[order]
+    edge_coeff = h[edge_check, edge_var]
+    e = edge_check.size
+    mul = field.mul_table
+    inv_coeff = np.array([field.inv(int(c)) for c in edge_coeff], dtype=np.int64)
+    xs = np.arange(q)
+    perm_vc = mul[inv_coeff[:, None], xs[None, :]]
+    perm_cv = mul[edge_coeff[:, None], xs[None, :]]
+    ear = np.arange(e)[:, None]
+    check_pad, edge_cslot = _slot_layout(edge_check, n_checks, e)
+    var_pad, edge_vslot = _slot_layout(edge_var, n_vars, e)
+    counts = np.bincount(edge_check, minlength=n_checks)
+    check_starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
+
+    def normalize(msgs):
+        msgs = np.maximum(msgs, 0.0) + _PROB_FLOOR
+        return msgs / msgs.sum(axis=2, keepdims=True)
+
+    def hard_and_converged(post):
+        hard = post.argmax(axis=2)
+        if e == 0:
+            return hard, np.ones(post.shape[0], dtype=bool)
+        contrib = mul[edge_coeff[None, :], hard[:, edge_var]]
+        synd = np.bitwise_xor.reduceat(contrib, check_starts, axis=1)
+        return hard, ~synd.any(axis=1)
+
+    priors = np.asarray(priors, dtype=float)
+    if priors.ndim == 2:
+        priors = priors[None]
+    f = priors.shape[0]
+    words = np.zeros((f, n_vars), dtype=np.int64)
+    converged = np.zeros(f, dtype=bool)
+    iterations = np.full(f, max_iter, dtype=np.int64)
+
+    hard, ok = hard_and_converged(priors)
+    words[:] = hard
+    iterations[ok] = 0
+    converged[:] = ok
+    if converged.all() or max_iter == 0 or e == 0:
+        return words, converged, iterations
+
+    active = np.nonzero(~converged)[0]
+    priors_a = priors[active]
+    v2c = normalize(priors_a[:, edge_var, :].copy())
+    for it in range(1, max_iter + 1):
+        ones_pad = np.ones((active.size, 1, q))
+        t = _wht(v2c[:, ear, perm_vc])
+        g = np.concatenate([t, ones_pad], axis=1)[:, check_pad, :]
+        c2v = _loo_product(g)[:, edge_check, edge_cslot, :]
+        c2v = normalize((_wht(c2v) / q)[:, ear, perm_cv])
+
+        gv = np.concatenate([c2v, ones_pad], axis=1)[:, var_pad, :]
+        post = priors_a * gv.prod(axis=2)
+        v2c = normalize(priors_a[:, edge_var, :] * _loo_product(gv)[:, edge_var, edge_vslot, :])
+
+        hard, ok = hard_and_converged(post)
+        words[active] = hard
+        iterations[active[ok]] = it
+        converged[active[ok]] = True
+        if ok.any():
+            active = active[~ok]
+            if active.size == 0:
+                break
+            priors_a = priors_a[~ok]
+            v2c = v2c[~ok]
+    return words, converged, iterations
 
 
 def random_base_matrix(rng: np.random.Generator, m: int, n: int) -> BaseMatrix:

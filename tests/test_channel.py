@@ -1,16 +1,17 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import direct_xor_convolution, plain_rank
-from nbqc.base_graph import BaseMatrix
+from helpers import _wht, direct_xor_convolution, plain_rank, reference_decode_batch
+from nbqc.alist_io import load_matrix_file
+from nbqc.base_graph import BaseMatrix, weight2_base
 from nbqc.channel import (
     CodeInstance,
     QspaDecoder,
     SimConfig,
-    _wht,
     build_code,
     make_modulation,
     modulate,
@@ -23,7 +24,7 @@ from nbqc.channel import (
     wilson_interval,
 )
 from nbqc.gf import GF
-from nbqc.lifter import Lifting, Monomial
+from nbqc.lifter import ConstructionConfig, Lifting, Monomial, greedy_lift
 
 F4 = GF(2)
 F16 = GF(4)
@@ -407,6 +408,109 @@ def test_batch_equals_single_frame_decoding():
         w, c, i = qspa_decode(code, priors[t], 12)
         assert np.array_equal(w, words_b[t])
         assert c == conv_b[t] and i == iters_b[t]
+
+
+def test_hadamard_product_matches_butterfly():
+    rng = np.random.default_rng(15)
+    for p in range(1, 9):
+        dec = QspaDecoder(CodeInstance(GF(p), [[1, 1]]))
+        x = rng.standard_normal((3, 5, dec.q))
+        assert np.allclose(x @ dec.hadamard, _wht(x), rtol=0, atol=1e-12)
+        assert np.allclose(x @ dec.hadamard_inv, _wht(x) / dec.q, rtol=0, atol=1e-12)
+
+
+def random_irregular_h(rng, field):
+    """Check degrees 1-6, variable degrees 0, 1, 2 and 3+, one all-zero column."""
+    while True:
+        m, n = int(rng.integers(3, 9)), int(rng.integers(7, 16))
+        h = np.zeros((m, n), dtype=np.int64)
+        live = rng.permutation(n)[1:]
+        for row, d in zip(h, rng.integers(1, 7, size=m)):
+            row[rng.choice(live, size=d, replace=False)] = rng.integers(1, field.q, size=d)
+        col, row = (h != 0).sum(axis=0), (h != 0).sum(axis=1)
+        if {0, 1, 2} <= set(col) and col.max() >= 3 and row.min() < row.max():
+            return h
+
+
+def noisy_codeword_priors(rng, code, frames):
+    """Random priors leaning, by a random margin, towards a random codeword."""
+    q = code.field.q
+    words = code.encode(rng.integers(0, q, size=(frames, code.k)))
+    priors = rng.random((frames, code.n, q))
+    priors[np.arange(frames)[:, None], np.arange(code.n), words] += 2 * rng.random((frames, code.n))
+    return priors / priors.sum(axis=2, keepdims=True)
+
+
+def assert_same_decoding(code, priors, max_iter):
+    got = code.decoder().decode_batch(priors, max_iter)
+    want = reference_decode_batch(code, priors, max_iter)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return want
+
+
+def test_decoder_matches_padded_slot_reference_on_irregular_codes():
+    rng = np.random.default_rng(16)
+    iterated = stuck = 0
+    for case in range(44):  # every max_iter 0-10 with q = 2, 4, 16 and 64
+        field = GF((1, 2, 4, 6)[case % 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random H may be rank-deficient
+            code = CodeInstance(field, random_irregular_h(rng, field))
+        priors = noisy_codeword_priors(rng, code, (1, 7)[case // 4 % 2])
+        _, converged, iters = assert_same_decoding(code, priors, case % 11)
+        iterated += int((iters > 0).sum())
+        stuck += int((~converged).sum())
+    assert iterated and stuck  # both converging and failing frames were compared
+
+
+def test_decoder_matches_padded_slot_reference_on_n192_lifting():
+    alist = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "gf16_4x16_s12.alist"
+    code = build_code(load_matrix_file(alist))
+    mod = make_modulation("bpsk")
+    rng = np.random.default_rng(17)
+    words = code.encode(rng.integers(0, 16, size=(48, code.k)))
+    rx = modulate_and_transmit(words, 4, mod, 1.5, rng)
+    priors = symbol_likelihoods(rx, mod, 1.5, 4, code.n)
+    _, converged, iters = assert_same_decoding(code, priors, 30)
+    assert (iters > 1).any() and not converged.all()
+
+
+def test_empty_checks_are_always_satisfied():
+    word = np.array([1, 3, 1])  # (t, 3t, t) with t = 1, a codeword of TOY_H
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # both matrices are rank-deficient
+        codes = [CodeInstance(F4, h) for h in ([[1, 2, 0], [0, 0, 0], [0, 1, 3]], np.zeros((2, 3)))]
+    for code in codes:
+        words, converged, iters = code.decoder().decode_batch(high_confidence_priors(code, word), 5)
+        assert converged[0] and iters[0] == 0 and np.array_equal(words[0], word)
+
+
+def test_q256_decoding_stays_finite_at_high_snr(monkeypatch):
+    cfg = ConstructionConfig(s=8, q=256, depth=6, trials_per_edge=5, rng_seed=0)
+    lifting, _ = greedy_lift(weight2_base(4, 16), cfg)
+    code = build_code(lifting)
+    dec = code.decoder()
+    finite = []
+    original = dec._normalize_edges
+
+    def recording(msgs):
+        out = original(msgs)
+        finite.append(bool(np.isfinite(out).all()))
+        return out
+
+    monkeypatch.setattr(dec, "_normalize_edges", recording)
+    mod = make_modulation("256qam")
+    rng = np.random.default_rng(18)
+    for snr_db in (22.0, 60.0, 200.0):
+        sent = code.encode(rng.integers(0, 256, size=(20, code.k)))
+        rx = modulate_and_transmit(sent, 8, mod, snr_db, rng)
+        priors = symbol_likelihoods(rx, mod, snr_db, 8, code.n)
+        assert np.isfinite(priors).all()
+        words, converged, iters = dec.decode_batch(priors, 30)
+        if snr_db > 22.0:
+            assert np.array_equal(words, sent) and converged.all() and not iters.any()
+    assert finite and all(finite)
 
 
 # ----------------------------------------------------------------------

@@ -265,3 +265,28 @@ def test_simulate_bad_config_fails_with_message(tmp_path, capsys, config, named)
     assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "config,named",
+    [
+        ({"modulation": "bpsk", "snr_db": [1.0], "max_frames": "5"}, "max_frames"),
+        (
+            {"modulation": "bpsk", "snr_db": [1.0], "max_frames": 5, "decoder_max_iterations": 2.5},
+            "decoder_max_iterations",
+        ),
+        ({"modulation": "bpsk", "snr_db": [1.0], "max_frames": 5, "max_errors": True}, "max_errors"),
+        ({"modulation": "bpsk", "snr_db": [1.0], "max_frames": 5, "seed": "7"}, "seed"),
+        ({"modulation": 4, "snr_db": [1.0], "max_frames": 5}, "modulation"),
+        ({"modulation": "bpsk", "snr_db": [1.0, "2"], "max_frames": 5}, "snr_db"),
+        ({"modulation": "bpsk", "snr_db": [float("nan")], "max_frames": 5}, "snr_db"),
+    ],
+)
+def test_simulate_mistyped_config_fails_with_message(tmp_path, capsys, config, named):
+    base = write(tmp_path / "ex1.txt", EX1)
+    alist = str(tmp_path / "ex1.alist")
+    main(["construct", base, "--s", "3", "--q", "4", "--seed", "2", "--out", alist])
+    cfg = write(tmp_path / "bad.json", json.dumps(config))
+    assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
