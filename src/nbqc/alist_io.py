@@ -85,11 +85,15 @@ def _header(text: str, magic: str, min_lines: int) -> tuple[list[tuple[int, str]
     return lines, _ints(lineno, toks[1], 1)[0]
 
 
-def _field_for(q: int, poly: int) -> GF:
+def _field_for(lines: list[tuple[int, str]], q: int, poly: int) -> GF:
+    """GF(q) under `poly`; errors name the dimensions line (q) or the poly line."""
     p = q.bit_length() - 1
     if q < 2 or (1 << p) != q:
-        raise AlistFormatError(f"q={q} is not a power of 2")
-    return GF(p, poly)
+        raise AlistFormatError(f"line {lines[2][0]}: q={q} is not a power of 2")
+    try:
+        return GF(p, poly)
+    except ValueError as exc:
+        raise AlistFormatError(f"line {lines[1][0]}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +117,7 @@ def parse_qc(text: str) -> Lifting:
     m, n, s, q = _ints(lineno, content, 4)
     if m < 1 or n < 1 or s < 1:
         raise AlistFormatError(f"line {lineno}: non-positive dimensions")
-    field = _field_for(q, poly)
+    field = _field_for(lines, q, poly)
 
     bits = np.zeros((m, n), dtype=np.int8)
     assignment: dict[tuple[int, int], Monomial] = {}
@@ -168,13 +172,17 @@ def parse_full(text: str) -> tuple[GF, np.ndarray]:
     lines, poly = _header(text, MAGIC_FULL, 6)
     lineno, content = lines[2]
     n_cols, n_rows, q = _ints(lineno, content, 3)
-    field = _field_for(q, poly)
+    if n_cols < 1 or n_rows < 1:
+        raise AlistFormatError(f"line {lineno}: non-positive dimensions")
+    field = _field_for(lines, q, poly)
     lineno, content = lines[3]
     dmax_col, dmax_row = _ints(lineno, content, 2)
     col_deg = _ints(*lines[4], expect=n_cols)
     row_deg = _ints(*lines[5], expect=n_rows)
     if max(col_deg, default=0) != dmax_col or max(row_deg, default=0) != dmax_row:
-        raise AlistFormatError("declared maximum degrees do not match degree lists")
+        raise AlistFormatError(
+            f"line {lineno}: declared maximum degrees do not match degree lists"
+        )
     body = lines[6:]
     if len(body) != n_cols + n_rows:
         raise AlistFormatError(

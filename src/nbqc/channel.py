@@ -4,7 +4,8 @@ The pipeline mirrors a conventional link simulation: expand a lifting to
 its scalar parity-check matrix, derive a systematic encoder by Gaussian
 elimination, map codeword symbols to Gray-labelled constellation points
 of unit average energy, add complex Gaussian noise at a configured Es/N0,
-demap to per-symbol probability vectors over GF(q), and decode with
+demap to per-symbol probability vectors over GF(q) (from one table, per
+lcm(p, k)-bit period, of the labels agreeing with each value), and decode with
 probability-domain belief propagation (flooding schedule, per-edge
 normalization, no damping).
 
@@ -28,6 +29,7 @@ Conventions fixed for reproducibility:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -160,82 +162,60 @@ def symbol_likelihoods(
 ) -> np.ndarray:
     """Per-field-symbol probability vectors over GF(2^p), rows summing to 1.
 
-    Each symbol's distribution is the product, over the constellation
-    observations covering its bits, of the observation's marginal
-    probability of the corresponding bit pattern (unconstrained bits of a
-    shared observation are summed out).
+    A symbol's distribution is the product, over the observations sharing
+    its bits, of each observation's marginal probability of the shared
+    bits (its other bits summed out).  Symbols and k-bit observations line
+    up again every lcm(p, k) bits, so the weights are viewed as (frames,
+    periods, labels of one period) and `_demap_table` says, for each
+    symbol of a period, which labels agree with each value.
     """
-    received = np.asarray(received)
-    batch = received.ndim == 2
-    rx = received if batch else received[None, :]
+    rx = np.atleast_2d(received)
     k = modulation.bits_per_symbol
     if n_symbols * p != rx.shape[1] * k:
         raise ValueError("received length inconsistent with symbol count")
+    table = _demap_table(p, k)
     w = observation_weights(rx, modulation, snr_db)
-    q = 1 << p
-    f = rx.shape[0]
-
-    if k == 1:
-        logw = np.log(w + _PROB_FLOOR).reshape(f, n_symbols, p, 2)
-        val_bits = (np.arange(q)[:, None] >> np.arange(p - 1, -1, -1)) & 1
-        logp = np.zeros((f, n_symbols, q))
-        for t in range(p):
-            logp += logw[:, :, t, val_bits[:, t]]
-        probs = np.exp(logp - logp.max(axis=2, keepdims=True))
-    elif k == p:
-        probs = w.copy()
-    elif p % k == 0:
-        # each symbol is covered by p/k whole observations
-        per = p // k
-        val_slices = np.empty((q, per), dtype=np.int64)
-        for val in range(q):
-            for r in range(per):
-                val_slices[val, r] = (val >> (k * (per - 1 - r))) & ((1 << k) - 1)
-        wg = w.reshape(f, n_symbols, per, -1)
-        probs = np.ones((f, n_symbols, q))
-        for r in range(per):
-            probs *= wg[:, :, r, val_slices[:, r]]
-    elif k % p == 0:
-        # each observation covers k/p whole symbols; marginalize the rest
-        per = k // p
-        labels = np.arange(modulation.points.size)
-        probs_parts = []
-        for r in range(per):
-            slot = (labels >> (p * (per - 1 - r))) & (q - 1)
-            group = np.zeros((modulation.points.size, q))
-            group[labels, slot] = 1.0
-            probs_parts.append(w @ group)  # (f, n_obs, q)
-        probs = np.stack(probs_parts, axis=2).reshape(f, n_symbols, q)
-    else:
-        probs = _likelihoods_generic(w, k, p, n_symbols, modulation.points.size)
-
-    probs = np.maximum(probs, 0.0) + _PROB_FLOOR
+    w = w.reshape(len(rx), n_symbols // len(table), -1)
+    probs = np.empty(w.shape[:2] + (len(table), 1 << p))
+    for s, entries in enumerate(table):
+        for j, (labels, agree) in enumerate(entries):
+            dest = None if j else probs[:, :, s]  # the first marginal lands in place
+            if agree is None:  # one label per value
+                marg = np.take(w, labels, axis=2, out=dest, mode="clip")
+            else:  # sum the labels agreeing with each value
+                marg = np.matmul(w[:, :, labels], agree, out=dest)
+            if j:
+                probs[:, :, s] *= marg
+    probs = probs.reshape(len(rx), n_symbols, -1)
+    probs += _PROB_FLOOR
     probs /= probs.sum(axis=2, keepdims=True)
-    return probs if batch else probs[0]
+    return probs if np.ndim(received) == 2 else probs[0]
 
 
-def _likelihoods_generic(w, k, p, n_symbols, m_points):
-    """Arbitrary bit alignment between field symbols and observations."""
-    f = w.shape[0]
-    q = 1 << p
-    labels = np.arange(m_points)
-    probs = np.ones((f, n_symbols, q))
-    for v in range(n_symbols):
-        by_obs: dict[int, list[tuple[int, int]]] = {}
-        for t in range(p):
-            g = v * p + t
-            by_obs.setdefault(g // k, []).append((g % k, p - 1 - t))
-        for obs, pairs in by_obs.items():
-            # pattern of this observation's label implied by symbol value `val`
-            marg = np.zeros((f, q))
-            for val in range(q):
-                mask = np.ones(m_points, dtype=bool)
-                for pos, bit_of_val in pairs:
-                    want = (val >> bit_of_val) & 1
-                    mask &= ((labels >> (k - 1 - pos)) & 1) == want
-                marg[:, val] = w[:, obs, mask].sum(axis=1)
-            probs[:, v, :] *= marg
-    return probs
+@functools.cache
+def _demap_table(p: int, k: int) -> list[list[tuple]]:
+    """Per symbol of an lcm(p, k)-bit period, a (labels, agree) pair for each
+    observation sharing its bits, in order; label l of observation o is
+    number o * 2^k + l.  If the symbol holds all k bits, agree is None and
+    labels[val] is the one label agreeing with value val; otherwise labels
+    slices out observation o and agree[l, val] is 1 where label l agrees
+    with val on the shared bits.
+    """
+    value_bits = symbols_to_bits(np.arange(1 << p)[:, None], p)
+    label_bits = symbols_to_bits(np.arange(1 << k)[:, None], k)
+    table = []
+    for s in range(math.lcm(p, k) // p):
+        obs = np.arange(s * p, (s + 1) * p) // k
+        table.append([])
+        for o in np.unique(obs):
+            t = np.nonzero(obs == o)[0]  # the shared bits of the symbol
+            pos = (s * p + t) % k  # the same bits of the label
+            agree = (label_bits[:, None, pos] == value_bits[None, :, t]).all(axis=2)
+            if t.size == k:
+                table[-1].append(((o << k) + agree.argmax(axis=0), None))
+            else:
+                table[-1].append((slice(o << k, (o + 1) << k), agree.astype(float)))
+    return table
 
 
 # ----------------------------------------------------------------------

@@ -190,15 +190,27 @@ def test_noise_variance_within_one_percent():
 # ----------------------------------------------------------------------
 # demapping
 # ----------------------------------------------------------------------
-def test_noiseless_likelihoods_are_deltas():
+ALIGNMENTS = [
+    (p, name) for p in range(1, 9) for name in ("bpsk", "4qam", "16qam", "64qam", "256qam")
+]
+
+
+def alignment_codeword(rng, p, mod, frames, periods):
+    """Random GF(2^p) symbols filling whole lcm(p, k)-bit periods."""
+    n = math.lcm(p, mod.bits_per_symbol) // p * periods
+    return rng.integers(0, 1 << p, size=(frames, n))
+
+
+@pytest.mark.parametrize("p, name", ALIGNMENTS)
+def test_noiseless_likelihoods_are_deltas(p, name):
     rng = np.random.default_rng(4)
-    cw = rng.integers(0, 16, size=8)
-    mod = make_modulation("bpsk")
-    rx = modulate(cw, 4, mod)
-    lik = symbol_likelihoods(rx, mod, 300.0, 4, 8)
-    assert np.allclose(lik.sum(axis=1), 1.0, atol=1e-9)
-    assert np.array_equal(lik.argmax(axis=1), cw)
-    assert lik.max(axis=1) == pytest.approx(1.0)
+    mod = make_modulation(name)
+    cw = alignment_codeword(rng, p, mod, 2, 3)
+    rx = modulate(cw, p, mod)
+    lik = symbol_likelihoods(rx, mod, 300.0, p, cw.shape[1])
+    assert np.allclose(lik.sum(axis=2), 1.0, atol=1e-9)
+    assert np.array_equal(lik.argmax(axis=2), cw)
+    assert lik.max(axis=2) == pytest.approx(1.0)
 
 
 def test_likelihoods_sum_to_one_noisy():
@@ -254,34 +266,33 @@ def test_shared_observation_marginalization():
         assert np.allclose(lik[v], expected, atol=1e-9)
 
 
-def test_generic_alignment_path():
-    # GF(16) symbols under 64-QAM: bits straddle observation boundaries
+@pytest.mark.parametrize("p, name", ALIGNMENTS)
+def test_generic_alignment_path(p, name):
+    # brute force over the codeword's bit stream: bit g of the stream is
+    # bit g % k (MSB first) of observation g // k's label, so each symbol
+    # value's probability is the product, over the observations its bits
+    # fall in, of the summed weight of the labels agreeing on those bits
     rng = np.random.default_rng(8)
-    mod = make_modulation("64qam")
-    cw = rng.integers(0, 16, size=3)  # 12 bits -> 2 observations
-    rx = modulate_and_transmit(cw, 4, mod, 8.0, rng)
-    lik = symbol_likelihoods(rx, mod, 8.0, 4, 3)
+    mod = make_modulation(name)
+    k = mod.bits_per_symbol
+    cw = alignment_codeword(rng, p, mod, 2, 2)
+    n = cw.shape[1]
+    rx = modulate_and_transmit(cw, p, mod, 8.0, rng)
+    lik = symbol_likelihoods(rx, mod, 8.0, p, n)
     n0 = 10 ** (-8.0 / 10)
-    w = np.exp(-np.abs(rx[:, None] - mod.points[None, :]) ** 2 / n0)
-    bit_src = [(g // 6, g % 6) for g in range(12)]
-    for v in range(3):
-        expected = np.ones(16)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for t in range(4):
-            obs, pos = bit_src[4 * v + t]
-            groups.setdefault(obs, []).append((pos, 3 - t))
-        for obs, pairs in groups.items():
-            marg = np.zeros(16)
-            for val in range(16):
-                for label in range(64):
-                    if all(
-                        ((label >> (5 - pos)) & 1) == ((val >> vb) & 1)
-                        for pos, vb in pairs
-                    ):
-                        marg[val] += w[obs, label]
-            expected *= marg
-        expected /= expected.sum()
-        assert np.allclose(lik[v], expected, atol=1e-9)
+    w = np.exp(-np.abs(rx[..., None] - mod.points) ** 2 / n0)
+    value_bits = (np.arange(1 << p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
+    label_bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    for v in range(n):
+        expected = np.ones((len(cw), 1 << p))
+        for obs in range((v * p) // k, (v * p + p - 1) // k + 1):
+            # symbol bits t sharing observation obs, at label bits pos
+            t = np.array([t for t in range(p) if (v * p + t) // k == obs])
+            pos = (v * p + t) % k
+            agree = (value_bits[:, None, t] == label_bits[None, :, pos]).all(axis=2)
+            expected *= w[:, obs] @ agree.T
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert np.allclose(lik[:, v], expected, atol=1e-9)
 
 
 def test_length_mismatch_rejected():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,9 +31,9 @@ def test_construct_round_trips(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "ace vector: (inf, inf, inf)" in captured
     assert "expanded girth: inf" in captured
-    lifting = parse_qc(open(out).read())
+    lifting = parse_qc(Path(out).read_text())
     assert lifting.base.to_text() == EX1
-    report = json.load(open(out + ".report.json"))
+    report = json.loads(Path(out + ".report.json").read_text())
     assert report["seed"] == 5
     assert report["expanded_girth"] == "inf"
 
@@ -82,7 +83,7 @@ def test_construct_large_code_parameters(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr().out
     assert "N=4620 K>=4060" in captured
-    lifting = parse_qc(open(out).read())
+    lifting = parse_qc(Path(out).read_text())
     assert lifting.base.n * lifting.s == 4620
 
 
@@ -176,10 +177,10 @@ def test_simulate_writes_results_and_manifest(tmp_path, capsys):
     cfg = sim_config(tmp_path)
     out = str(tmp_path / "res.txt")
     assert main(["simulate", alist, cfg, "--out", out]) == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 3  # header + one line per SNR point
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["seed"] == 9
     assert manifest["inputs"]["matrix"]["sha256"]
 
@@ -192,10 +193,10 @@ def test_simulate_reproducible_byte_identical(tmp_path, capsys):
     out1, out2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")
     assert main(["simulate", alist, cfg, "--out", out1]) == 0
     assert main(["simulate", alist, cfg, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     assert (
-        json.loads(open(out1 + ".manifest.json").read())["config"]
-        == json.loads(open(out2 + ".manifest.json").read())["config"]
+        json.loads(Path(out1 + ".manifest.json").read_text())["config"]
+        == json.loads(Path(out2 + ".manifest.json").read_text())["config"]
     )
 
 
@@ -207,7 +208,7 @@ def test_simulate_matches_direct_library_call(tmp_path, capsys):
     out = str(tmp_path / "res.txt")
     assert main(["simulate", alist, cfg_path, "--out", out]) == 0
 
-    lifting = parse_qc(open(alist).read())
+    lifting = parse_qc(Path(alist).read_text())
     code = CodeInstance(lifting.field, lifting.expand())
     cfg = SimConfig(
         modulation="bpsk",
@@ -217,7 +218,7 @@ def test_simulate_matches_direct_library_call(tmp_path, capsys):
         decoder_max_iterations=15,
         rng_seed=9,
     )
-    assert open(out).read() == run_monte_carlo(code, cfg).to_text()
+    assert Path(out).read_text() == run_monte_carlo(code, cfg).to_text()
 
 
 def test_simulate_rejects_base_matrix_input(tmp_path, capsys):

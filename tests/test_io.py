@@ -141,16 +141,33 @@ def test_full_parse_errors():
         parse_full("\n".join(good.splitlines()[:-2]) + "\n")
     with pytest.raises(AlistFormatError):
         parse_full("")
+    for line, bad, match in (
+        ("9 6 4", "-1 2 4", "^line 3: non-positive dimensions"),
+        ("9 6 4", "9 0 4", "^line 3: non-positive dimensions"),
+        ("2 2", "3 2", "^line 4: declared maximum degrees"),
+    ):
+        with pytest.raises(AlistFormatError, match=match):
+            parse_full(good.replace(line, bad, 1))
 
 
 def test_bad_poly_line_is_line_numbered():
     lifting = example_lifting()
-    for parse, good in (
-        (parse_full, serialize_full(F4, lifting.expand())),
-        (parse_qc, serialize_qc(lifting)),
+    for parse, good, dims in (
+        (parse_full, serialize_full(F4, lifting.expand()), "9 6 4"),
+        (parse_qc, serialize_qc(lifting), "2 3 3 4"),
     ):
         with pytest.raises(AlistFormatError, match="^line 2: "):
             parse(good.replace("poly 7", "poly x7", 1))
+        # a polynomial GF(4) rejects: not primitive, then the wrong degree
+        for poly in ("poly 5", "poly 11"):
+            with pytest.raises(AlistFormatError, match="^line 2: .*polynomial"):
+                parse(good.replace("poly 7", poly, 1))
+        # a field size that is not a power of 2 is reported on its own line
+        with pytest.raises(AlistFormatError, match="^line 3: q=3 is not a power of 2"):
+            parse(good.replace(dims, dims[:-1] + "3", 1))
+        # comment lines shift every number
+        with pytest.raises(AlistFormatError, match="^line 3: .*not primitive"):
+            parse(good.replace("poly 7", "# field\npoly 5", 1))
 
 
 def test_serialize_full_validates_range():
