@@ -62,14 +62,19 @@ class BaseMatrix:
                 lines.append((lineno, stripped))
         if not lines:
             raise ValueError("empty base matrix file")
+        header = lines[0][0]
         try:
             m, n = (int(tok) for tok in lines[0][1].split())
         except ValueError as exc:
             raise ValueError(
-                f"line {lines[0][0]}: expected header 'm n', got {lines[0][1]!r}"
+                f"line {header}: expected header 'm n', got {lines[0][1]!r}"
             ) from exc
+        if m <= 0 or n <= 0:
+            raise ValueError(f"line {header}: non-positive dimensions")
         if len(lines) - 1 != m:
-            raise ValueError(f"expected {m} matrix rows, found {len(lines) - 1}")
+            # missing rows: blame the header; extra rows: the first extra one
+            where = header if len(lines) - 1 < m else lines[m + 1][0]
+            raise ValueError(f"line {where}: expected {m} matrix rows, found {len(lines) - 1}")
         rows = []
         for lineno, content in lines[1:]:
             toks = content.split()
@@ -348,9 +353,6 @@ class AceVector:
         if any(v < 0 for v in self.values):
             raise ValueError("ACE entries must be non-negative")
 
-    def lengths(self) -> range:
-        return range(4, self.depth + 1, 2)
-
     def __str__(self) -> str:
         body = ", ".join(str(inf_or_int(v)) for v in self.values)
         return f"({body})"
@@ -390,35 +392,49 @@ def lex_compare(a: AceVector, b: AceVector) -> int:
     return 0
 
 
-def girth(h, sources: list[int] | None = None) -> float:
+def lifted_edges(pattern, shift=None, s: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(check, variable) indices of every edge of the s-lift of a 0/1 pattern.
+
+    Base edges come in BaseMatrix.ones() order (column by column, rows
+    ascending), one row of the two (edges, s) arrays each.  Base edge
+    (i, j) with circulant shift z joins variable j*s + t to check
+    i*s + (t + z) % s, for t = 0..s-1.  `shift` holds one z per base edge
+    in that order; None means every shift is 0.
+    """
+    cols, rows = np.nonzero(pattern.T)
+    z = np.zeros(cols.size, dtype=np.int64) if shift is None else np.asarray(shift)
+    t = np.arange(s)
+    return rows[:, None] * s + (t + z[:, None]) % s, cols[:, None] * s + t
+
+
+def girth(h, shift=None, s: int = 1) -> float:
     """Length of the shortest Tanner-graph cycle; math.inf when acyclic.
 
-    Accepts a BaseMatrix or any 2-D array (nonzero pattern is used).
-    `sources` optionally restricts the BFS start set to the given variable
-    nodes; correctness then requires that some shortest cycle pass through
-    one of them (every cycle alternates through variable nodes, so the
-    default, all variable nodes, is always safe).
-    """
-    if isinstance(h, BaseMatrix):
-        pattern = h.bits
-    else:
-        pattern = np.asarray(h) != 0
-    m, n = pattern.shape
-    total = n + m  # variable nodes 0..n-1, check nodes n..n+m-1
-    adj: list[list[int]] = [[] for _ in range(total)]
-    check_rows, var_cols = np.nonzero(pattern)
-    for i, j in zip(check_rows.tolist(), var_cols.tolist()):
-        adj[j].append(n + i)
-        adj[n + i].append(j)
+    Accepts a BaseMatrix or any 2-D array (nonzero pattern is used).  With
+    `shift` (one circulant shift per base edge, in ones() order) and `s`,
+    the graph is the s-lift of that pattern, built from lifted_edges.
 
-    if sources is None:
-        sources = list(range(n))
+    The BFS starts from the first variable node of each column block.
+    Shifting every circulant block by one at once maps the lifted graph
+    onto itself, and that automorphism acts transitively on the s variable
+    nodes of a column block; some shortest cycle therefore passes through
+    a block's first node.  With s = 1 every variable node is a start.
+    """
+    pattern = h.bits if isinstance(h, BaseMatrix) else np.asarray(h) != 0
+    m, n = pattern.shape
+    checks, variables = lifted_edges(pattern, shift, s)
+    total = (n + m) * s  # variable nodes 0..n*s-1, then the check nodes
+    adj: list[list[int]] = [[] for _ in range(total)]
+    for i, j in zip((checks + n * s).ravel().tolist(), variables.ravel().tolist()):
+        adj[j].append(i)
+        adj[i].append(j)
+
     best = math.inf
     dist = [-1] * total
     parent = [-1] * total
     stamp = [0] * total
     run = 0
-    for src in sources:
+    for src in range(0, n * s, s):
         run += 1
         if best == 4:
             break  # bipartite minimum; nothing shorter exists

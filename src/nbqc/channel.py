@@ -38,7 +38,7 @@ import numpy as np
 
 from .gf import GF
 from .lifter import Lifting
-from .linalg import gf_matvec, gf_rref
+from .linalg import gf_matmul, gf_rref
 
 _PROB_FLOOR = 1e-30
 
@@ -268,13 +268,11 @@ class CodeInstance:
             raise ValueError(f"expected {self.k} information symbols, got {u.shape[1]}")
         out = np.zeros((u.shape[0], self.n), dtype=np.int64)
         out[:, self.info_cols] = u
-        if self.rank and self.k:
-            prods = self.field.mul_table[self.parity_map[None, :, :], u[:, None, :]]
-            out[:, self.pivot_cols] = np.bitwise_xor.reduce(prods, axis=2)
+        out[:, self.pivot_cols] = gf_matmul(self.field, u, self.parity_map.T)
         return out[0] if single else out
 
     def syndrome(self, word: np.ndarray) -> np.ndarray:
-        return gf_matvec(self.field, self.h, np.asarray(word, dtype=np.int64))
+        return gf_matmul(self.field, self.h, np.asarray(word)[:, None])[:, 0]
 
     def decoder(self) -> "QspaDecoder":
         if self._decoder is None:

@@ -34,7 +34,6 @@ from .lifter import (
     distance_upper_bound,
     expanded_girth,
     greedy_lift,
-    rate_lower_bound,
 )
 
 # codes whose distance ceiling falls below this are flagged as floor-prone
@@ -85,7 +84,7 @@ def cmd_construct(args) -> int:
 def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None:
     diag = validate(base)
     print(f"base matrix: {diag.m} x {diag.n}")
-    rate = rate_lower_bound(base)
+    rate = diag.rate_lower_bound
     print(f"rate lower bound: {rate} ({float(rate):.4f})")
     degrees = sorted(set(diag.column_degrees))
     profile = ", ".join(

@@ -108,9 +108,6 @@ class GF:
             raise ValueError("zero has no multiplicative inverse")
         return self.exp_table[(self.q - 1) - self.log_table[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         """a raised to a non-negative integer power."""
         if a == 0:

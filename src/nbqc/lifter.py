@@ -68,6 +68,7 @@ from .base_graph import (
     girth,
     inf_or_int,
     lex_compare,
+    lifted_edges,
 )
 from .gf import GF
 
@@ -155,15 +156,13 @@ class Lifting:
     def expand(self) -> np.ndarray:
         """The (m*s) x (n*s) scalar matrix over GF(q).
 
-        Edge (i, j) with monomial beta * x^z puts beta at row
-        i*s + (t + z) % s, column j*s + t, for t = 0..s-1.
+        Edge (i, j) with monomial beta * x^z puts beta on each of the s
+        edges that lifted_edges places for shift z.
         """
         s = self.s
         beta, shift = self.edge_arrays()
-        cols, rows = np.nonzero(self.base.bits.T)  # base.ones() order
-        t = np.arange(s)
         out = np.zeros((self.base.m * s, self.base.n * s), dtype=np.int64)
-        out[rows[:, None] * s + (t + shift[:, None]) % s, cols[:, None] * s + t] = beta[:, None]
+        out[lifted_edges(self.base.bits, shift, s)] = beta[:, None]
         return out
 
 
@@ -239,9 +238,9 @@ def _log_exp(field: GF) -> tuple[np.ndarray, np.ndarray]:
 
 def _edge_index(base: BaseMatrix) -> np.ndarray:
     """The index of each base position in base.ones(); -1 off the base."""
-    cols, rows = np.nonzero(base.bits.T)  # column-major, as base.ones()
+    rows, cols = lifted_edges(base.bits)  # s = 1: the base edges themselves
     index = np.full(base.bits.shape, -1, dtype=np.intp)
-    index[rows, cols] = np.arange(rows.size)
+    index[rows, cols] = np.arange(rows.size).reshape(rows.shape)
     return index
 
 
@@ -519,17 +518,8 @@ def greedy_lift(
 
 
 def expanded_girth(lifting: Lifting) -> float:
-    """Girth of the expanded Tanner graph.
-
-    The expanded graph is invariant under the simultaneous cyclic shift of
-    every circulant block, and that automorphism acts transitively on the
-    s variable nodes of each column block; some shortest cycle therefore
-    passes through a block representative, so scanning one variable node
-    per base column is exact.
-    """
-    expanded = lifting.expand()
-    sources = [j * lifting.s for j in range(lifting.base.n)]
-    return girth(expanded, sources=sources)
+    """Girth of the expanded Tanner graph, read from the per-edge shifts."""
+    return girth(lifting.base, lifting.edge_arrays()[1], lifting.s)
 
 
 # ----------------------------------------------------------------------

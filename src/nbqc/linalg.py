@@ -24,16 +24,6 @@ def gf_matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(products, axis=1)
 
 
-def gf_matvec(field: GF, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} x {x.shape}")
-    if a.shape[1] == 0:
-        return np.zeros(a.shape[0], dtype=np.int64)
-    return np.bitwise_xor.reduce(field.mul_table[a, x[None, :]], axis=1)
-
-
 def gf_rref(field: GF, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(q).
 

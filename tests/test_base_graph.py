@@ -43,12 +43,24 @@ def test_from_text_with_comments():
     assert h == BaseMatrix([[1, 1], [1, 1]])
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "2 2\n1 1\n", "2 2\n1 1\n1 2\n", "x y\n", "1 2\n1 1 1\n"],
-)
+# text -> the start of the expected message, which names the offending line
+FROM_TEXT_ERRORS = {
+    "": "empty base matrix file",
+    "2 2\n1 1\n": "line 1: expected 2 matrix rows, found 1",
+    "2 2\n1 1\n1 2\n": "line 3: entries must be 0 or 1",
+    "x y\n": "line 1: expected header",
+    "1 2\n1 1 1\n": "line 2: expected 2 entries",
+    "2 3\n1 1 0\n": "line 1: expected 2 matrix rows, found 1",
+    "-1 3\n": "line 1: non-positive dimensions",
+    "0 0\n": "line 1: non-positive dimensions",
+    "2 2\n1 1\n1 1\n1 1\n": "line 4: expected 2 matrix rows, found 3",
+    "# c\n2 2\n\n1 1\n1 1\n0 1\n": "line 6: expected 2 matrix rows, found 3",
+}
+
+
+@pytest.mark.parametrize("text", list(FROM_TEXT_ERRORS))
 def test_from_text_errors(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{FROM_TEXT_ERRORS[text]}"):
         BaseMatrix.from_text(text)
 
 

@@ -353,12 +353,21 @@ def test_uneliminated_four_cycle_shows_in_expanded_girth():
 
 
 def test_expanded_girth_representative_sources_match_full_scan():
+    # the girth of the circulant edge list, searched from one variable per
+    # column block, against a full scan of the independent dense expansion
     rng = np.random.default_rng(11)
+    for s in range(1, 10):
+        for _ in range(8):
+            m = int(rng.integers(1, 5))
+            weights = rng.integers(1, min(m, 3) + 1, size=int(rng.integers(m, 9)))
+            h = random_weighted_base(rng, m, weights)
+            lifting = random_lifting(rng, h, s, F4)
+            assert expanded_girth(lifting) == girth(poly_matrix(lifting).expand())
     for seed in range(4):
         h = random_base_matrix(rng, 3, 5)
         cfg = ConstructionConfig(s=5, q=4, depth=6, trials_per_edge=10, rng_seed=seed)
         lifting, _ = greedy_lift(h, cfg)
-        assert expanded_girth(lifting) == girth(lifting.expand())
+        assert expanded_girth(lifting) == girth(poly_matrix(lifting).expand())
 
 
 def test_config_validation():
