@@ -18,6 +18,11 @@ order for the variable update (see `_degree_layout`).  The decoder is
 vectorized over a batch of frames, with per-frame early exit on a zero
 syndrome; batching never changes any individual frame's result.
 
+Large batches are decoded on every usable CPU, in contiguous chunks of
+frames of at least 4 MiB of messages each (smaller chunks ran slower on
+threads than on one); a chunk is decoded exactly as the whole batch
+would be, so no frame's result depends on the split.
+
 Conventions fixed for reproducibility:
   * field symbols become bits most-significant-bit first, in codeword order;
   * a k-bit constellation label uses its first k/2 bits (MSB first) for the
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +47,8 @@ from .lifter import Lifting
 from .linalg import gf_matmul, gf_rref
 
 _PROB_FLOOR = 1e-30
+# least message bytes per decoding thread: smaller chunks ran slower threaded
+_CHUNK_BYTES = 4 << 20
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +316,13 @@ def _degree_layout(owner: np.ndarray, other: np.ndarray, n_owners: int):
     return order, np.argsort(deg, kind="stable"), classes
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
     """out[:, k] = product of g[:, j] over j != k, for (f, d, n, q) blocks.
 
@@ -385,6 +400,11 @@ class QspaDecoder:
         at its first zero-syndrome hard decision; iteration counts say
         when that happened (0 = the channel decision already satisfied
         every check).
+
+        The frames are split into W = min(usable CPUs, frames, bytes of one
+        (frames, edges, q) message array // 4 MiB) contiguous chunks; the
+        calling thread decodes the first, W - 1 pool threads the others,
+        and the outputs are joined in frame order.
         """
         priors = np.asarray(priors, dtype=float)
         if priors.ndim == 2:
@@ -392,18 +412,38 @@ class QspaDecoder:
         if priors.shape[1] != self.n_vars or priors.shape[2] != self.q:
             raise ValueError("prior shape does not match the code")
 
+        frames = priors.shape[0]
+        msg_bytes = frames * self.n_edges * self.q * priors.itemsize
+        w = min(_usable_cpus(), frames, msg_bytes // _CHUNK_BYTES)
+        if w < 2:
+            return self._decode(priors, max_iter)
+        # imported here: the pool module costs 0.6 MB that small batches never use
+        from concurrent.futures import ThreadPoolExecutor
+
+        chunks = np.array_split(priors, w)
+        with ThreadPoolExecutor(max_workers=w - 1) as pool:
+            rest = [pool.submit(self._decode, c, max_iter) for c in chunks[1:]]
+            outs = [self._decode(chunks[0], max_iter)] + [r.result() for r in rest]
+        return tuple(np.concatenate(parts) for parts in zip(*outs))
+
+    def _decode(
+        self, priors: np.ndarray, max_iter: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`decode_batch` on one thread, for a validated (frames, n, q) batch."""
         words = priors.argmax(axis=2)
         converged = self._converged(words)
         iterations = np.where(converged, 0, max_iter)
         if converged.all() or max_iter == 0 or self.n_edges == 0:
             return words, converged, iterations
 
-        # iterate only the `a` still-active frames, whose messages fill the first
-        # rows of two work buffers; priors and posteriors are kept in var_order
+        # iterate only the `a` still-active frames, whose messages, priors and
+        # posteriors fill the first rows of their buffers; priors and posteriors
+        # are kept in var_order
         q = self.q
         active = np.flatnonzero(~converged)
         a = active.size
         priors_a = priors[active][:, self.var_order]
+        post = priors_a.copy()  # a variable without edges keeps its prior
         buf = np.empty((2, a, self.n_edges, q))
         np.take(priors_a, self.edge_vrank, axis=1, out=buf[1], mode="clip")
         v2c = self._normalize_edges(buf[1])
@@ -420,16 +460,16 @@ class QspaDecoder:
             c2v = self._normalize_edges(t)
 
             # variable-node update and posterior
-            post = priors_a.copy()  # a variable without edges keeps its prior
             for edges, d, owners in self.var_classes:
                 g = c2v[:, edges].reshape(a, d, -1, q)
                 loo = u[:, edges].reshape(a, d, -1, q)
                 _leave_one_out(g, loo)
-                post[:, owners] *= loo[:, -1] * g[:, -1]
-                loo *= priors_a[:, None, owners]
+                np.multiply(loo[:, -1], g[:, -1], out=post[:a, owners])
+                post[:a, owners] *= priors_a[:a, owners]
+                loo *= priors_a[:a, None, owners]
             v2c = self._normalize_edges(u)
 
-            hard = post.argmax(axis=2)[:, self.var_pos]
+            hard = post[:a].argmax(axis=2)[:, self.var_pos]
             ok = self._converged(hard)
             words[active] = hard
             iterations[active[ok]] = it
@@ -437,10 +477,14 @@ class QspaDecoder:
             if ok.all():
                 break
             if ok.any():
-                active, priors_a = active[~ok], priors_a[~ok]
-                a = active.size
-                buf[1, :a] = v2c[~ok]
-                v2c = buf[1, :a]
+                # move the still-active frames to the front, in place
+                keep = np.flatnonzero(~ok)
+                for i, j in enumerate(keep.tolist()):
+                    if i != j:
+                        for arr in (v2c, priors_a, post):
+                            arr[i] = arr[j]
+                active, a = active[keep], keep.size
+                v2c = v2c[:a]
 
         return words, converged, iterations
 
@@ -529,6 +573,8 @@ def run_monte_carlo(
     generator seeded by (rng_seed, global frame index), so results are
     independent of batch size and identical across runs with one seed.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     modulation = make_modulation(cfg.modulation)
     decoder = code.decoder()
     p = code.field.p

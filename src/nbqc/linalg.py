@@ -11,17 +11,27 @@ import numpy as np
 
 from .gf import GF
 
+_PRODUCT_ENTRIES = 1 << 22  # most entries of one chunk of the product table
+
 
 def gf_matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(q): xor-accumulated entrywise products."""
+    """Matrix product over GF(q): xor-accumulated entrywise products.
+
+    The (rows, inner, cols) product table is built and reduced in chunks
+    of the inner axis, each of at most 2^22 entries or one inner index.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
     mul = field.mul_table
-    # products[i, k, j] = a[i, k] * b[k, j]
-    products = mul[a[:, :, None], b[None, :, :]]
-    return np.bitwise_xor.reduce(products, axis=1)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=mul.dtype)
+    step = max(1, _PRODUCT_ENTRIES // max(1, out.size))
+    for k in range(0, a.shape[1], step):
+        # products[i, k, j] = a[i, k] * b[k, j]
+        products = mul[a[:, k : k + step, None], b[None, k : k + step, :]]
+        out ^= np.bitwise_xor.reduce(products, axis=1)
+    return out
 
 
 def gf_rref(field: GF, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

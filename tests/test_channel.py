@@ -1,4 +1,6 @@
 import math
+import concurrent.futures
+import threading
 import warnings
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import _wht, direct_xor_convolution, plain_rank, reference_decode_batch
+from nbqc import channel
 from nbqc.alist_io import load_matrix_file
 from nbqc.base_graph import BaseMatrix, weight2_base
 from nbqc.channel import (
@@ -475,16 +478,62 @@ def test_decoder_matches_padded_slot_reference_on_irregular_codes():
     assert iterated and stuck  # both converging and failing frames were compared
 
 
-def test_decoder_matches_padded_slot_reference_on_n192_lifting():
+def n192_priors(seed, frames, snr_db=1.5):
+    """The perfbench N=192 GF(16) lifting and BPSK priors of random codewords."""
     alist = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "gf16_4x16_s12.alist"
     code = build_code(load_matrix_file(alist))
     mod = make_modulation("bpsk")
-    rng = np.random.default_rng(17)
-    words = code.encode(rng.integers(0, 16, size=(48, code.k)))
-    rx = modulate_and_transmit(words, 4, mod, 1.5, rng)
-    priors = symbol_likelihoods(rx, mod, 1.5, 4, code.n)
+    rng = np.random.default_rng(seed)
+    words = code.encode(rng.integers(0, 16, size=(frames, code.k)))
+    rx = modulate_and_transmit(words, 4, mod, snr_db, rng)
+    return code, symbol_likelihoods(rx, mod, snr_db, 4, code.n)
+
+
+def test_decoder_matches_padded_slot_reference_on_n192_lifting():
+    code, priors = n192_priors(17, 48)
     _, converged, iters = assert_same_decoding(code, priors, 30)
     assert (iters > 1).any() and not converged.all()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Report 3 usable CPUs; the list of the worker counts of the pools started."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_threaded_decoding_matches_reference_and_unsplit_decode(pool_sizes):
+    code, priors = n192_priors(19, 300)  # 14.7 MB of messages: three chunks
+    before = set(threading.enumerate())
+    got = code.decoder().decode_batch(priors, 30)
+    assert pool_sizes == [2]  # the caller decodes one chunk, two pool threads the rest
+    assert set(threading.enumerate()) <= before  # no pool thread outlives the call
+    for g, u in zip(got, code.decoder()._decode(priors, 30)):
+        assert np.array_equal(g, u)
+    words, converged, iters = got
+    ref_words, ref_converged, ref_iters = reference_decode_batch(code, priors, 30)
+    assert np.array_equal(converged, ref_converged) and np.array_equal(iters, ref_iters)
+    # a frame still failing after 30 iterations may end one symbol apart: the
+    # butterfly and the BLAS Hadamard product round differently (frame 120 here)
+    assert np.array_equal(words[converged], ref_words[converged])
+    for chunk in np.array_split(np.arange(300), 3):  # every chunk compacts its active set
+        assert len(set(iters[chunk][converged[chunk]])) > 2 and not converged[chunk].all()
+
+
+def test_small_batches_start_no_thread(pool_sizes):
+    code, priors = n192_priors(20, 64)  # 3.1 MB of messages, below the 4 MiB gate
+    got = code.decoder().decode_batch(priors, 30)
+    assert pool_sizes == []
+    for g, w in zip(got, code.decoder()._decode(priors, 30)):
+        assert np.array_equal(g, w)
 
 
 def test_empty_checks_are_always_satisfied():
@@ -537,6 +586,13 @@ def test_monte_carlo_deterministic_and_batch_invariant():
     r3 = run_monte_carlo(code, cfg, batch_size=11)
     assert r1 == r2 == r3
     assert r1.to_text() == r3.to_text()
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_monte_carlo_rejects_empty_batches(batch_size):
+    cfg = SimConfig(modulation="bpsk", snr_db=(1.0,), max_frames=5, max_errors=5)
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        run_monte_carlo(toy_code(), cfg, batch_size=batch_size)
 
 
 def test_monte_carlo_high_snr_error_free():
