@@ -31,12 +31,10 @@ when both come from the same lifting; parse/serialize round-trip losslessly.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .base_graph import BaseMatrix
+from .base_graph import BaseMatrix, content_lines
 from .gf import GF
 from .lifter import Lifting, Monomial
 
@@ -46,15 +44,6 @@ MAGIC_QC = "nbalist qc"
 
 class AlistFormatError(ValueError):
     """Malformed matrix file; message carries the 1-based line number."""
-
-
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            out.append((lineno, stripped))
-    return out
 
 
 def _ints(lineno: int, content: str, expect: int | None = None) -> list[int]:
@@ -71,7 +60,7 @@ def _ints(lineno: int, content: str, expect: int | None = None) -> list[int]:
 
 def _header(text: str, magic: str, min_lines: int) -> tuple[list[tuple[int, str]], int]:
     """The content lines of a file that opens with `magic` and 'poly <int>', and that poly."""
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines:
         raise AlistFormatError("empty matrix file")
     if lines[0][1] != magic:
@@ -230,10 +219,10 @@ def parse_full(text: str) -> tuple[GF, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# dispatch and manifests
+# dispatch and digests
 # ----------------------------------------------------------------------
 def detect_variant(text: str) -> str:
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines:
         raise AlistFormatError("empty matrix file")
     first = lines[0][1]
@@ -262,38 +251,3 @@ def sha256_of_file(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run bit-exactly."""
-
-    command: str
-    artifact_version: str
-    seed: int
-    config: dict
-    inputs: dict  # name -> {"path": ..., "sha256": ...}
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "artifact_version": self.artifact_version,
-                "seed": self.seed,
-                "config": self.config,
-                "inputs": self.inputs,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            artifact_version=data["artifact_version"],
-            seed=data["seed"],
-            config=data["config"],
-            inputs=data["inputs"],
-        )

@@ -24,6 +24,16 @@ from functools import cached_property
 import numpy as np
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, content) of each non-blank line, '#' comments cut."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            out.append((lineno, stripped))
+    return out
+
+
 class BaseMatrix:
     """Immutable binary m x n matrix plus Tanner-graph adjacency views."""
 
@@ -55,11 +65,7 @@ class BaseMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def from_text(cls, text: str) -> "BaseMatrix":
-        lines = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                lines.append((lineno, stripped))
+        lines = content_lines(text)
         if not lines:
             raise ValueError("empty base matrix file")
         header = lines[0][0]

@@ -36,8 +36,10 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -504,22 +506,46 @@ def qspa_decode(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SimConfig:
+    """Settings of a Monte-Carlo run, checked on construction.
+
+    Counts are Python or numpy integers, not bools; `max_errors` defaults
+    to `max_frames`, and the seed is non-negative.  Each error names the
+    field at fault.
+    """
+
     modulation: str
     snr_db: tuple[float, ...]
     max_frames: int
-    max_errors: int
+    max_errors: int | None = None
     decoder_max_iterations: int = 30
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.modulation, str):
+            raise ValueError(f"modulation must be a string, got {self.modulation!r}")
         make_modulation(self.modulation)
-        if not self.snr_db:
-            raise ValueError("at least one SNR point is required")
-        if self.max_frames < 1 or self.max_errors < 1:
-            raise ValueError("max_frames and max_errors must be positive")
-        if self.decoder_max_iterations < 0:
-            raise ValueError("decoder_max_iterations must be non-negative")
-        object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
+        not_finite = "snr_db must be a list of finite numbers"
+        if isinstance(self.snr_db, str) or not isinstance(self.snr_db, Iterable):
+            raise ValueError(not_finite)
+        snr = tuple(self.snr_db)
+        for v in snr:
+            if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
+                raise ValueError(not_finite)
+        if not snr:
+            raise ValueError("snr_db needs at least one SNR point")
+        object.__setattr__(self, "snr_db", tuple(float(v) for v in snr))
+        if self.max_errors is None:
+            object.__setattr__(self, "max_errors", self.max_frames)
+        for name, low in (
+            ("max_frames", 1),
+            ("max_errors", 1),
+            ("decoder_max_iterations", 0),
+            ("rng_seed", 0),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -569,9 +595,13 @@ def run_monte_carlo(
 ) -> SimResult:
     """Frame-error simulation over the configured SNR points.
 
-    Every frame draws its information symbols and its noise from a
-    generator seeded by (rng_seed, global frame index), so results are
-    independent of batch size and identical across runs with one seed.
+    Each point decodes frames until `max_frames` frames, or until the
+    frame that brings its errors to `max_errors`.  Every frame draws its
+    information symbols and its noise from a generator seeded by
+    (rng_seed, global frame index), and the index advances only over
+    counted frames, so results are exactly the same at every batch size
+    and across runs with one seed.  A batch may decode frames past the
+    stopping one; they are dropped uncounted.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
@@ -600,14 +630,17 @@ def run_monte_carlo(
                 noise[t] = rng.normal(scale=sigma, size=n_obs) + 1j * rng.normal(
                     scale=sigma, size=n_obs
                 )
-            frame_counter += b
             tx_words = code.encode(info)
             rx = modulate(tx_words, p, modulation) + noise
             priors = symbol_likelihoods(rx, modulation, snr_db, p, code.n)
             decoded, _, iters = decoder.decode_batch(priors, cfg.decoder_max_iterations)
-            errors += int((decoded != tx_words).any(axis=1).sum())
-            frames += b
-            iter_sum += int(iters.sum())
+            failed = np.cumsum((decoded != tx_words).any(axis=1))
+            # count frames up to and including the one that reaches max_errors
+            used = min(b, int(np.searchsorted(failed, cfg.max_errors - errors)) + 1)
+            errors += int(failed[used - 1])
+            frames += used
+            frame_counter += used
+            iter_sum += int(iters[:used].sum())
         points.append(
             SnrPoint(
                 snr_db=snr_db,

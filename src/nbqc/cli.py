@@ -12,14 +12,13 @@ simulate   compact/full nbalist + JSON simulation config -> frame-error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 from . import __version__
 from .alist_io import (
     AlistFormatError,
-    RunManifest,
     load_matrix_file,
     parse_qc,
     serialize_qc,
@@ -39,25 +38,24 @@ from .lifter import (
 # codes whose distance ceiling falls below this are flagged as floor-prone
 LOW_DISTANCE_THRESHOLD = 100
 
-DEFAULT_SEED = 0
-
 
 # ----------------------------------------------------------------------
 # construct
 # ----------------------------------------------------------------------
 def cmd_construct(args) -> int:
     base = BaseMatrix.from_file(args.base)
-    if args.seed is None:
-        args.seed = DEFAULT_SEED
-        print(f"seed defaulted to {DEFAULT_SEED}")
+    # a flag left out takes ConstructionConfig's default
+    given = {
+        "depth": args.depth,
+        "trials_per_edge": args.trials,
+        "rng_seed": args.seed,
+        "cycle_cap": args.cycle_cap,
+    }
     cfg = ConstructionConfig(
-        s=args.s,
-        q=args.q,
-        depth=args.depth,
-        trials_per_edge=args.trials,
-        rng_seed=args.seed,
-        cycle_cap=args.cycle_cap,
+        s=args.s, q=args.q, **{k: v for k, v in given.items() if v is not None}
     )
+    if args.seed is None:
+        print(f"seed defaulted to {cfg.rng_seed}")
     lifting, report = greedy_lift(base, cfg)
 
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -82,6 +80,7 @@ def cmd_construct(args) -> int:
 # analyze
 # ----------------------------------------------------------------------
 def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None:
+    cycles = all_cycles(base, depth)  # first, so a bad depth fails before any output
     diag = validate(base)
     print(f"base matrix: {diag.m} x {diag.n}")
     rate = diag.rate_lower_bound
@@ -103,7 +102,6 @@ def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None
             )
     print(f"base girth: {inf_or_int(girth(base))}")
 
-    cycles = all_cycles(base, depth)
     if lifting is not None:
         eliminated = dict(zip(cycles, cycles_eliminated(lifting, cycles)))
     for length in range(4, depth + 1, 2):
@@ -143,15 +141,8 @@ def cmd_analyze(args) -> int:
 # ----------------------------------------------------------------------
 # simulate
 # ----------------------------------------------------------------------
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
 def _load_sim_config(path) -> SimConfig:
+    """The JSON config as a SimConfig, which checks the values."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -170,22 +161,9 @@ def _load_sim_config(path) -> SimConfig:
     for key in ("modulation", "snr_db", "max_frames"):
         if key not in data:
             raise ValueError(f"simulation config lacks required key '{key}'")
-    snr = data["snr_db"]
-    if not isinstance(snr, list) or not all(_is_finite_number(v) for v in snr):
-        raise ValueError("simulation config key 'snr_db' must be a list of finite numbers")
-    if not isinstance(data["modulation"], str):
-        raise ValueError("simulation config key 'modulation' must be a string")
-    for key in ("max_frames", "max_errors", "decoder_max_iterations", "seed"):
-        if key in data and not _is_int(data[key]):
-            raise ValueError(f"simulation config key '{key}' must be an integer")
-    return SimConfig(
-        modulation=data["modulation"],
-        snr_db=tuple(data["snr_db"]),
-        max_frames=data["max_frames"],
-        max_errors=data.get("max_errors", data["max_frames"]),
-        decoder_max_iterations=data.get("decoder_max_iterations", 30),
-        rng_seed=data.get("seed", DEFAULT_SEED),
-    )
+    if "seed" in data:
+        data["rng_seed"] = data.pop("seed")
+    return SimConfig(**data)
 
 
 def cmd_simulate(args) -> int:
@@ -202,28 +180,23 @@ def cmd_simulate(args) -> int:
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(result.to_text())
-    manifest = RunManifest(
-        command="simulate",
-        artifact_version=__version__,
-        seed=cfg.rng_seed,
-        config={
-            "modulation": cfg.modulation,
-            "snr_db": list(cfg.snr_db),
-            "max_frames": cfg.max_frames,
-            "max_errors": cfg.max_errors,
-            "decoder_max_iterations": cfg.decoder_max_iterations,
-        },
-        inputs={
+    config = dataclasses.asdict(cfg)
+    manifest = {
+        "command": "simulate",
+        "artifact_version": __version__,
+        "seed": config.pop("rng_seed"),
+        "config": config,
+        "inputs": {
             "matrix": {"path": str(args.matrix), "sha256": sha256_of_file(args.matrix)},
             "sim_config": {
                 "path": str(args.config),
                 "sha256": sha256_of_file(args.config),
             },
         },
-    )
+    }
     manifest_path = args.out + ".manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json())
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} and {manifest_path}")
     print(f"N={code.n} K={code.k} rate={code.rate:.4f}")
     print(result.to_text(), end="")
@@ -243,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("base", help="base matrix text file ('m n' header then 0/1 rows)")
     c.add_argument("--s", type=int, required=True, help="circulant size")
     c.add_argument("--q", type=int, required=True, help="field order (power of 2)")
-    c.add_argument("--depth", type=int, default=8, help="maximal cycle length (even)")
-    c.add_argument("--trials", type=int, default=100, help="redraws per edge")
-    c.add_argument("--seed", type=int, default=None, help="RNG seed (printed if defaulted)")
-    c.add_argument("--cycle-cap", type=int, default=100_000, dest="cycle_cap")
+    c.add_argument("--depth", type=int, help="maximal cycle length (even)")
+    c.add_argument("--trials", type=int, help="redraws per edge")
+    c.add_argument("--seed", type=int, help="RNG seed (printed if defaulted)")
+    c.add_argument("--cycle-cap", type=int, dest="cycle_cap")
     c.add_argument("--out", required=True, help="output nbalist path")
     c.set_defaults(func=cmd_construct)
 

@@ -100,6 +100,8 @@ class ConstructionConfig:
             raise ValueError("trials_per_edge must be at least 1")
         if self.cycle_cap is not None and self.cycle_cap < 1:
             raise ValueError("cycle_cap must be positive or None")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     def make_field(self) -> GF:
         return GF(self.q.bit_length() - 1)

@@ -588,6 +588,19 @@ def test_monte_carlo_deterministic_and_batch_invariant():
     assert r1.to_text() == r3.to_text()
 
 
+def test_monte_carlo_early_stop_is_batch_size_independent():
+    # the first point stops at its 20th error; the second runs all its frames
+    cfg = SimConfig(
+        modulation="bpsk", snr_db=(-8.0, -1.0), max_frames=400, max_errors=20, rng_seed=6
+    )
+    results = {b: run_monte_carlo(toy_code(), cfg, batch_size=b) for b in (1, 7, 64, 400)}
+    first = results[1].points[0]
+    assert first.errors == 20 and first.frames < 400
+    assert results[1].points[1].frames == 400
+    for b in (7, 64, 400):
+        assert results[b].to_text() == results[1].to_text()
+
+
 @pytest.mark.parametrize("batch_size", [0, -3])
 def test_monte_carlo_rejects_empty_batches(batch_size):
     cfg = SimConfig(modulation="bpsk", snr_db=(1.0,), max_frames=5, max_errors=5)
@@ -691,3 +704,32 @@ def test_sim_config_validation():
         SimConfig(modulation="bpsk", snr_db=(), max_frames=1, max_errors=1)
     with pytest.raises(ValueError):
         SimConfig(modulation="bpsk", snr_db=(1.0,), max_frames=0, max_errors=1)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("max_frames", "5"),
+        ("decoder_max_iterations", 2.5),
+        ("max_errors", True),
+        ("rng_seed", "7"),
+        ("rng_seed", -1),
+        ("modulation", 4),
+        ("snr_db", [1.0, "2"]),
+        ("snr_db", [float("nan")]),
+        ("snr_db", 5),
+    ],
+)
+def test_sim_config_rejects_mistyped_values(field, value):
+    kwargs = {"modulation": "bpsk", "snr_db": (1.0,), "max_frames": 5, field: value}
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**kwargs)
+
+
+def test_sim_config_defaults_and_numpy_values():
+    cfg = SimConfig(
+        modulation="bpsk", snr_db=np.array([1, 2.5]), max_frames=np.int64(7), rng_seed=np.uint8(3)
+    )
+    assert cfg.snr_db == (1.0, 2.5) and cfg.max_errors == 7 and cfg.rng_seed == 3
+    # plain ints, so the CLI's manifest can be written as JSON
+    assert type(cfg.max_frames) is int and type(cfg.max_errors) is int

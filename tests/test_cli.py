@@ -102,6 +102,13 @@ def test_construct_rejects_bad_parameters(tmp_path, capsys, extra):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_rejects_negative_seed(tmp_path, capsys):
+    base = write(tmp_path / "ex1.txt", EX1)
+    out = str(tmp_path / "x.alist")
+    assert main(["construct", base, "--s", "3", "--q", "4", "--seed", "-1", "--out", out]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
 def test_construct_missing_file(tmp_path, capsys):
     assert main(
         ["construct", str(tmp_path / "nope.txt"), "--s", "3", "--q", "4", "--out", "o"]
@@ -148,6 +155,14 @@ def test_analyze_lifting_reports_elimination(tmp_path, capsys):
     assert "expanded girth:" in captured
 
 
+def test_analyze_bad_depth_fails_before_any_output(tmp_path, capsys):
+    base = write(tmp_path / "b433.txt", make_weight2_base(4, 33))
+    assert main(["analyze", base, "--depth", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "depth must be even" in captured.err
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     bad = write(tmp_path / "bad.txt", "not a matrix\n")
     assert main(["analyze", bad]) == 1
@@ -183,6 +198,50 @@ def test_simulate_writes_results_and_manifest(tmp_path, capsys):
     manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["seed"] == 9
     assert manifest["inputs"]["matrix"]["sha256"]
+
+
+# recorded from the RunManifest-era writer; a config with every optional key
+# left out shows SimConfig's defaults and the int SNR stored as a float
+MANIFEST_WITH_DEFAULTS = """{
+  "artifact_version": "0.1.0",
+  "command": "simulate",
+  "config": {
+    "decoder_max_iterations": 30,
+    "max_errors": 40,
+    "max_frames": 40,
+    "modulation": "bpsk",
+    "snr_db": [
+      2.0,
+      8.5
+    ]
+  },
+  "inputs": {
+    "matrix": {
+      "path": "<tmp>/ex1.alist",
+      "sha256": "f7a8d0206eb9c770d396e74b2b1c4514836f18d49b801b88676517dac7a61657"
+    },
+    "sim_config": {
+      "path": "<tmp>/sim.json",
+      "sha256": "253ced50d8a00b534831ceb0b38300ecc7092c0cbf300d4857a72f97f3e20ee7"
+    }
+  },
+  "seed": 0
+}
+"""
+
+
+def test_simulate_manifest_bytes(tmp_path, capsys):
+    base = write(tmp_path / "ex1.txt", EX1)
+    alist = str(tmp_path / "ex1.alist")
+    main(["construct", base, "--s", "3", "--q", "4", "--seed", "2", "--out", alist])
+    cfg = write(
+        tmp_path / "sim.json",
+        json.dumps({"modulation": "bpsk", "snr_db": [2, 8.5], "max_frames": 40}),
+    )
+    out = str(tmp_path / "res.txt")
+    assert main(["simulate", alist, cfg, "--out", out]) == 0
+    text = Path(out + ".manifest.json").read_text().replace(str(tmp_path), "<tmp>")
+    assert text == MANIFEST_WITH_DEFAULTS
 
 
 def test_simulate_reproducible_byte_identical(tmp_path, capsys):
@@ -281,6 +340,7 @@ def test_simulate_bad_config_fails_with_message(tmp_path, capsys, config, named)
         ({"modulation": 4, "snr_db": [1.0], "max_frames": 5}, "modulation"),
         ({"modulation": "bpsk", "snr_db": [1.0, "2"], "max_frames": 5}, "snr_db"),
         ({"modulation": "bpsk", "snr_db": [float("nan")], "max_frames": 5}, "snr_db"),
+        ({"modulation": "bpsk", "snr_db": [1.0], "max_frames": 5, "seed": -1}, "seed"),
     ],
 )
 def test_simulate_mistyped_config_fails_with_message(tmp_path, capsys, config, named):

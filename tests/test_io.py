@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from nbqc.alist_io import (
     AlistFormatError,
-    RunManifest,
     detect_variant,
     load_matrix_file,
     parse_full,
@@ -176,7 +175,7 @@ def test_serialize_full_validates_range():
 
 
 # ----------------------------------------------------------------------
-# dispatch, manifests
+# dispatch
 # ----------------------------------------------------------------------
 def test_detect_variant():
     assert detect_variant(serialize_qc(example_lifting())) == "qc"
@@ -199,15 +198,3 @@ def test_load_matrix_file_dispatch(tmp_path):
     base.write_text(lifting.base.to_text())
     assert load_matrix_file(base) == lifting.base
 
-
-def test_manifest_round_trip():
-    manifest = RunManifest(
-        command="simulate",
-        artifact_version="0.1.0",
-        seed=42,
-        config={"modulation": "bpsk", "snr_db": [1.0, 2.0]},
-        inputs={"matrix": {"path": "x.alist", "sha256": "ab" * 32}},
-    )
-    again = RunManifest.from_json(manifest.to_json())
-    assert again == manifest
-    assert manifest.to_json() == again.to_json()

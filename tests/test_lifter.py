@@ -381,6 +381,8 @@ def test_config_validation():
         ConstructionConfig(s=4, q=4, depth=14)
     with pytest.raises(ValueError):
         ConstructionConfig(s=4, q=4, trials_per_edge=0)
+    with pytest.raises(ValueError, match="rng_seed"):
+        ConstructionConfig(s=4, q=4, rng_seed=-1)
 
 
 def test_greedy_rejects_empty_base():
