@@ -229,6 +229,12 @@ class CycleList(list):
     truncated = False
 
 
+def check_depth(depth: int) -> None:
+    """Reject a cycle depth that is odd or below the shortest cycle, 4."""
+    if depth < 4 or depth % 2:
+        raise ValueError("depth must be even and at least 4")
+
+
 def _walk_cycles(
     h: BaseMatrix, j: int, depth: int, cap: int | None, above_only: bool
 ) -> CycleList:
@@ -240,8 +246,7 @@ def _walk_cycles(
     """
     if not 0 <= j < h.n:
         raise ValueError(f"column index {j} out of range")
-    if depth < 4 or depth % 2:
-        raise ValueError("depth must be even and at least 4")
+    check_depth(depth)
     max_k = depth // 2
     lowest = j + 1 if above_only else 0
     closes = set(h.rows_of_col[j])
@@ -350,8 +355,7 @@ class AceVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.depth < 4 or self.depth % 2:
-            raise ValueError("depth must be even and at least 4")
+        check_depth(self.depth)
         if len(self.values) != self.depth // 2 - 1:
             raise ValueError(
                 f"expected {self.depth // 2 - 1} entries for depth {self.depth}"

@@ -18,10 +18,13 @@ order for the variable update (see `_degree_layout`).  The decoder is
 vectorized over a batch of frames, with per-frame early exit on a zero
 syndrome; batching never changes any individual frame's result.
 
-Large batches are decoded on every usable CPU, in contiguous chunks of
-frames of at least 4 MiB of messages each (smaller chunks ran slower on
-threads than on one); a chunk is decoded exactly as the whole batch
-would be, so no frame's result depends on the split.
+Work buffers are bounded by bytes, not by the batch.  The demapper builds
+its distance and weight tables for one chunk of frames at a time, and the
+decoder decodes a batch in chunks of the fewest frames whose messages
+reach 4 MiB; every usable CPU pulls chunks from a shared queue until it is
+empty.  A smaller working set also decodes faster per frame.  A chunk is
+demapped and decoded exactly as the whole batch would be, so no frame's
+result depends on the split.
 
 Conventions fixed for reproducibility:
   * field symbols become bits most-significant-bit first, in codeword order;
@@ -49,7 +52,7 @@ from .lifter import Lifting
 from .linalg import gf_matmul, gf_rref
 
 _PROB_FLOOR = 1e-30
-# least message bytes per decoding thread: smaller chunks ran slower threaded
+# frame-chunk size, in bytes of decoder messages or of demapper distances
 _CHUNK_BYTES = 4 << 20
 
 
@@ -178,15 +181,33 @@ def symbol_likelihoods(
     up again every lcm(p, k) bits, so the weights are viewed as (frames,
     periods, labels of one period) and `_demap_table` says, for each
     symbol of a period, which labels agree with each value.
+
+    The weights are built for one chunk of frames at a time, the frames
+    whose complex distances to the constellation fit in 4 MiB (at least
+    one), and each chunk fills its rows of the output.
     """
     rx = np.atleast_2d(received)
     k = modulation.bits_per_symbol
     if n_symbols * p != rx.shape[1] * k:
         raise ValueError("received length inconsistent with symbol count")
     table = _demap_table(p, k)
-    w = observation_weights(rx, modulation, snr_db)
-    w = w.reshape(len(rx), n_symbols // len(table), -1)
-    probs = np.empty(w.shape[:2] + (len(table), 1 << p))
+    # a frame's distances: one complex128 per observation and constellation point
+    size = max(1, _CHUNK_BYTES // (16 * rx.shape[1] * len(modulation.points)))
+    probs = None
+    for lo in range(0, len(rx), size):
+        w = observation_weights(rx[lo : lo + size], modulation, snr_db)
+        w = w.reshape(len(w), n_symbols // len(table), -1)
+        if probs is None:  # after the first weights, so one chunk peaks as one batch did
+            probs = np.empty((len(rx),) + w.shape[1:2] + (len(table), 1 << p))
+        _demap_chunk(w, table, probs[lo : lo + size])
+    probs = probs.reshape(len(rx), n_symbols, -1)
+    probs += _PROB_FLOOR
+    probs /= probs.sum(axis=2, keepdims=True)
+    return probs if np.ndim(received) == 2 else probs[0]
+
+
+def _demap_chunk(w: np.ndarray, table: list, probs: np.ndarray) -> None:
+    """Fill (frames, periods, symbols, q) `probs` from (frames, periods, labels) `w`."""
     for s, entries in enumerate(table):
         for j, (labels, agree) in enumerate(entries):
             dest = None if j else probs[:, :, s]  # the first marginal lands in place
@@ -196,10 +217,6 @@ def symbol_likelihoods(
                 marg = np.matmul(w[:, :, labels], agree, out=dest)
             if j:
                 probs[:, :, s] *= marg
-    probs = probs.reshape(len(rx), n_symbols, -1)
-    probs += _PROB_FLOOR
-    probs /= probs.sum(axis=2, keepdims=True)
-    return probs if np.ndim(received) == 2 else probs[0]
 
 
 @functools.cache
@@ -393,6 +410,11 @@ class QspaDecoder:
         synd = np.bitwise_xor.reduceat(contrib, self.check_starts, axis=1)
         return ~synd.any(axis=1)
 
+    @property
+    def chunk_frames(self) -> int:
+        """Frames per decoding chunk: the fewest whose float64 messages reach 4 MiB."""
+        return max(1, -(-_CHUNK_BYTES // max(self.n_edges * self.q * 8, 1)))
+
     def decode_batch(
         self, priors: np.ndarray, max_iter: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -403,10 +425,15 @@ class QspaDecoder:
         when that happened (0 = the channel decision already satisfied
         every check).
 
-        The frames are split into W = min(usable CPUs, frames, bytes of one
-        (frames, edges, q) message array // 4 MiB) contiguous chunks; the
-        calling thread decodes the first, W - 1 pool threads the others,
-        and the outputs are joined in frame order.
+        Frames are decoded in chunks of the fewest frames whose (edges, q)
+        message arrays reach 4 MiB (one frame if a frame alone does), so the
+        work buffers are bounded by bytes, not by the batch.  A batch of one
+        chunk is decoded directly.  Otherwise W = min(usable CPUs, chunks)
+        workers, the caller and W - 1 pool threads, take chunk starts from
+        a shared queue until it is empty, each writing a chunk's outputs at
+        its rows; after an error the others stop at their next chunk, and
+        the error reaches the caller.  A chunk decodes exactly as the whole
+        batch would, so no frame's result depends on the split.
         """
         priors = np.asarray(priors, dtype=float)
         if priors.ndim == 2:
@@ -414,19 +441,46 @@ class QspaDecoder:
         if priors.shape[1] != self.n_vars or priors.shape[2] != self.q:
             raise ValueError("prior shape does not match the code")
 
-        frames = priors.shape[0]
-        msg_bytes = frames * self.n_edges * self.q * priors.itemsize
-        w = min(_usable_cpus(), frames, msg_bytes // _CHUNK_BYTES)
-        if w < 2:
+        frames, size = priors.shape[0], self.chunk_frames
+        if frames <= size:
             return self._decode(priors, max_iter)
-        # imported here: the pool module costs 0.6 MB that small batches never use
+        # imported here: the pool modules cost 0.6 MB that small batches never use
+        import queue
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        chunks = np.array_split(priors, w)
+        starts = range(0, frames, size)
+        todo, failed = queue.SimpleQueue(), threading.Event()
+        for lo in starts:
+            todo.put(lo)
+        outs = (
+            np.empty((frames, self.n_vars), dtype=np.intp),
+            np.empty(frames, dtype=bool),
+            np.empty(frames, dtype=np.int64),
+        )
+
+        def work() -> None:
+            try:
+                while not failed.is_set():
+                    lo = todo.get_nowait()
+                    for out, part in zip(outs, self._decode(priors[lo : lo + size], max_iter)):
+                        out[lo : lo + size] = part
+            except queue.Empty:
+                pass
+            except BaseException:
+                failed.set()
+                raise
+
+        w = min(_usable_cpus(), len(starts))
+        if w == 1:
+            work()
+            return outs
         with ThreadPoolExecutor(max_workers=w - 1) as pool:
-            rest = [pool.submit(self._decode, c, max_iter) for c in chunks[1:]]
-            outs = [self._decode(chunks[0], max_iter)] + [r.result() for r in rest]
-        return tuple(np.concatenate(parts) for parts in zip(*outs))
+            rest = [pool.submit(work) for _ in range(w - 1)]
+            work()
+        for r in rest:
+            r.result()
+        return outs
 
     def _decode(
         self, priors: np.ndarray, max_iter: int

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
 from . import __version__
 from .alist_io import (
@@ -24,7 +25,15 @@ from .alist_io import (
     serialize_qc,
     sha256_of_file,
 )
-from .base_graph import BaseMatrix, all_cycles, cycle_ace, girth, inf_or_int, validate
+from .base_graph import (
+    BaseMatrix,
+    all_cycles,
+    check_depth,
+    cycle_ace,
+    girth,
+    inf_or_int,
+    validate,
+)
 from .channel import CodeInstance, SimConfig, run_monte_carlo
 from .lifter import (
     ConstructionConfig,
@@ -80,7 +89,7 @@ def cmd_construct(args) -> int:
 # analyze
 # ----------------------------------------------------------------------
 def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None:
-    cycles = all_cycles(base, depth)  # first, so a bad depth fails before any output
+    cycles = all_cycles(base, depth)
     diag = validate(base)
     print(f"base matrix: {diag.m} x {diag.n}")
     rate = diag.rate_lower_bound
@@ -121,6 +130,7 @@ def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None
 
 
 def cmd_analyze(args) -> int:
+    check_depth(args.depth)  # before loading: a full nbalist never reads the depth
     obj = load_matrix_file(args.matrix)
     if isinstance(obj, BaseMatrix):
         _analyze_base(obj, args.depth, None)
@@ -236,14 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, AlistFormatError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # warnings reach the user as one line each, without the source location;
+    # the filters, and the format library callers see, stay as they are
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ValueError, AlistFormatError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -65,6 +65,7 @@ from .base_graph import (
     BaseMatrix,
     Cycle,
     all_cycles,
+    check_depth,
     girth,
     inf_or_int,
     lex_compare,
@@ -92,8 +93,7 @@ class ConstructionConfig:
             raise ValueError("circulant size must be at least 2")
         if self.q < 2 or self.q & (self.q - 1):
             raise ValueError(f"q must be a power of 2, got {self.q}")
-        if self.depth < 4 or self.depth % 2:
-            raise ValueError("depth must be even and at least 4")
+        check_depth(self.depth)
         if self.depth > MAX_DEPTH:
             raise ValueError(f"depth above {MAX_DEPTH} is not supported")
         if self.trials_per_edge < 1:

@@ -8,10 +8,13 @@ stricter config check could reject them unnoticed.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+from nbqc.channel import run_monte_carlo
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -51,3 +54,12 @@ def test_construct_workload_job_matches_recorded_seed(tmp_path):
             recorded[key]["alist_sha256"],
             recorded[key]["report_sha256"],
         )
+
+
+def test_only_the_n4620_batch_is_split_into_decoder_chunks():
+    # the split path is what the N=4620 workload measures; N=192 must bypass it
+    cli_batch = inspect.signature(run_monte_carlo).parameters["batch_size"].default
+    big = WORKLOADS["simulate_n4620_64qam"]()
+    assert big.setup().code.decoder().chunk_frames == 1 < big.frames
+    small = WORKLOADS["simulate_n192_bpsk"]()
+    assert small.setup().code.decoder().chunk_frames >= cli_batch == 64

@@ -1,5 +1,6 @@
 import math
 import concurrent.futures
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -20,6 +21,7 @@ from nbqc.channel import (
     modulate,
     modulate_and_transmit,
     noise_sigma,
+    observation_weights,
     qspa_decode,
     run_monte_carlo,
     symbol_likelihoods,
@@ -511,10 +513,10 @@ def pool_sizes(monkeypatch):
 
 
 def test_threaded_decoding_matches_reference_and_unsplit_decode(pool_sizes):
-    code, priors = n192_priors(19, 300)  # 14.7 MB of messages: three chunks
+    code, priors = n192_priors(19, 300)  # 14.7 MB of messages: four chunks of up to 86 frames
     before = set(threading.enumerate())
     got = code.decoder().decode_batch(priors, 30)
-    assert pool_sizes == [2]  # the caller decodes one chunk, two pool threads the rest
+    assert pool_sizes == [2]  # the caller and two pool threads pull the four chunks
     assert set(threading.enumerate()) <= before  # no pool thread outlives the call
     for g, u in zip(got, code.decoder()._decode(priors, 30)):
         assert np.array_equal(g, u)
@@ -524,16 +526,93 @@ def test_threaded_decoding_matches_reference_and_unsplit_decode(pool_sizes):
     # a frame still failing after 30 iterations may end one symbol apart: the
     # butterfly and the BLAS Hadamard product round differently (frame 120 here)
     assert np.array_equal(words[converged], ref_words[converged])
-    for chunk in np.array_split(np.arange(300), 3):  # every chunk compacts its active set
+    for chunk in np.array_split(np.arange(300), 3):  # every third compacts its active set
         assert len(set(iters[chunk][converged[chunk]])) > 2 and not converged[chunk].all()
 
 
 def test_small_batches_start_no_thread(pool_sizes):
-    code, priors = n192_priors(20, 64)  # 3.1 MB of messages, below the 4 MiB gate
+    code, priors = n192_priors(20, 64)  # 3.1 MB of messages: one 86-frame chunk
     got = code.decoder().decode_batch(priors, 30)
     assert pool_sizes == []
     for g, w in zip(got, code.decoder()._decode(priors, 30)):
         assert np.array_equal(g, w)
+
+
+def test_one_frame_chunks_match_unsplit_decode(pool_sizes, monkeypatch):
+    code, priors = n192_priors(19, 300)
+    dec = code.decoder()
+    unsplit = dec._decode(priors, 30)
+    _, ref_converged, ref_iters = reference_decode_batch(code, priors, 30)
+    assert not ref_converged.all()
+    monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)  # every frame is its own chunk
+    assert dec.chunk_frames == 1
+    sizes = []
+
+    def recording(chunk, max_iter):
+        sizes.append(len(chunk))
+        return QspaDecoder._decode(dec, chunk, max_iter)
+
+    monkeypatch.setattr(dec, "_decode", recording)
+    switch = sys.getswitchinterval()
+    for cpus, pools in ((1, []), (3, [2])):
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: cpus)
+        sizes.clear()
+        pool_sizes.clear()
+        sys.setswitchinterval(1e-5)  # threads interleave often between queue pulls
+        try:
+            words, converged, iters = dec.decode_batch(priors, 30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert pool_sizes == pools
+        # every frame decoded once, and no call decodes more than one chunk
+        assert sorted(sizes) == [1] * 300
+        for g, u in zip((words, converged, iters), unsplit):
+            assert np.array_equal(g, u)
+        assert np.array_equal(converged, ref_converged) and np.array_equal(iters, ref_iters)
+
+
+def test_worker_error_reaches_the_caller(pool_sizes, monkeypatch):
+    code, priors = n192_priors(19, 300)
+    dec = code.decoder()
+    monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
+    caller, raised, calls = threading.get_ident(), threading.Event(), []
+
+    def failing(chunk, max_iter):
+        calls.append(len(chunk))
+        if threading.get_ident() != caller:
+            raised.set()
+            raise RuntimeError("worker failed")
+        assert raised.wait(30)  # the caller's chunk ends only after a worker failed
+        return QspaDecoder._decode(dec, chunk, max_iter)
+
+    monkeypatch.setattr(dec, "_decode", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="worker failed"):
+        dec.decode_batch(priors, 30)
+    assert pool_sizes == [2]
+    assert set(threading.enumerate()) <= before  # every pool thread was joined
+    assert len(calls) < 300  # the workers stopped before the queue was empty
+
+
+@pytest.mark.parametrize("p", [4, 6, 8])
+@pytest.mark.parametrize("name", ["bpsk", "16qam", "64qam", "256qam"])
+def test_demapping_in_one_frame_chunks_is_exact(monkeypatch, p, name):
+    rng = np.random.default_rng(22)
+    mod = make_modulation(name)
+    cw = alignment_codeword(rng, p, mod, 5, 3)
+    rx = modulate_and_transmit(cw, p, mod, 6.0, rng)
+    chunks = []
+
+    def recording(received, *args):
+        chunks.append(len(received))
+        return observation_weights(received, *args)
+
+    monkeypatch.setattr(channel, "observation_weights", recording)
+    whole = symbol_likelihoods(rx, mod, 6.0, p, cw.shape[1])
+    monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
+    split = symbol_likelihoods(rx, mod, 6.0, p, cw.shape[1])
+    assert chunks == [5, 1, 1, 1, 1, 1]
+    assert np.array_equal(split, whole)
 
 
 def test_empty_checks_are_always_satisfied():

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from nbqc.alist_io import parse_qc
+from nbqc.alist_io import load_matrix_file, parse_qc, serialize_full
 from nbqc.base_graph import weight2_base
 from nbqc.channel import CodeInstance, SimConfig, run_monte_carlo
 from nbqc.cli import main
 
 EX1 = "2 3\n0 1 1\n1 0 1\n"
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 def write(path, text):
@@ -109,6 +110,16 @@ def test_construct_rejects_negative_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("default")  # shown as the CLI shows them, not raised
+def test_construct_prints_warnings_as_one_line_each(tmp_path, capsys):
+    base = write(tmp_path / "b416.txt", make_weight2_base(4, 16))
+    out = str(tmp_path / "b416.alist")
+    argv = ["construct", base, "--s", "12", "--q", "16", "--depth", "6", "--trials", "1"]
+    assert main(argv + ["--cycle-cap", "5", "--out", out]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("warning: cycle cap 5 reached") for line in err)
+
+
 def test_construct_missing_file(tmp_path, capsys):
     assert main(
         ["construct", str(tmp_path / "nope.txt"), "--s", "3", "--q", "4", "--out", "o"]
@@ -161,6 +172,15 @@ def test_analyze_bad_depth_fails_before_any_output(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "depth must be even" in captured.err
+
+
+def test_analyze_full_nbalist_checks_depth(tmp_path, capsys):
+    lifting = load_matrix_file(INPUTS / "gf16_4x16_s12.alist")
+    full = write(tmp_path / "full.alist", serialize_full(lifting.field, lifting.expand()))
+    assert main(["analyze", full, "--depth", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth must be even and at least 4\n"
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
