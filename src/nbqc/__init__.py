@@ -1,25 +1,7 @@
 """Non-binary quasi-cyclic LDPC codes: construction, analysis, simulation."""
 
-from .base_graph import (
-    AceVector,
-    BaseMatrix,
-    Cycle,
-    ace_vector,
-    all_cycles,
-    cycle_ace,
-    cycles_through,
-    girth,
-    lex_compare,
-    validate,
-)
-from .channel import (
-    CodeInstance,
-    SimConfig,
-    SimResult,
-    build_code,
-    qspa_decode,
-    run_monte_carlo,
-)
+from .base_graph import AceVector, BaseMatrix, Cycle, all_cycles, cycle_ace, girth
+from .channel import CodeInstance, SimConfig, SimResult, build_code, run_monte_carlo
 from .gf import GF, DEFAULT_PRIMITIVE_POLY
 from .lifter import (
     ConstructionConfig,
@@ -43,12 +25,8 @@ __all__ = [
     "BaseMatrix",
     "Cycle",
     "AceVector",
-    "validate",
-    "cycles_through",
     "all_cycles",
     "cycle_ace",
-    "ace_vector",
-    "lex_compare",
     "girth",
     "Lifting",
     "ConstructionConfig",
@@ -63,7 +41,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "build_code",
-    "qspa_decode",
     "run_monte_carlo",
     "__version__",
 ]

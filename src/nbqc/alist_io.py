@@ -178,43 +178,41 @@ def parse_full(text: str) -> tuple[GF, np.ndarray]:
             f"expected {n_cols + n_rows} adjacency lines, found {len(body)}"
         )
 
-    h = np.zeros((n_rows, n_cols), dtype=np.int64)
-    for j in range(n_cols):
-        lineno, content = body[j]
-        vals = _ints(lineno, content)
-        if vals == [0] and col_deg[j] == 0:
-            continue
-        if len(vals) != 2 * col_deg[j]:
-            raise AlistFormatError(
-                f"line {lineno}: column {j + 1} expects {col_deg[j]} (row, code) pairs"
-            )
-        for t in range(0, len(vals), 2):
-            i, code = vals[t] - 1, vals[t + 1]
-            if not 0 <= i < n_rows:
-                raise AlistFormatError(f"line {lineno}: row index {i + 1} out of range")
-            if not 1 <= code < q:
-                raise AlistFormatError(f"line {lineno}: field code {code} out of range")
-            if h[i, j]:
-                raise AlistFormatError(f"line {lineno}: duplicate entry ({i + 1},{j + 1})")
-            h[i, j] = code
-    for i in range(n_rows):
-        lineno, content = body[n_cols + i]
-        vals = _ints(lineno, content)
-        if vals == [0] and row_deg[i] == 0:
-            continue
-        if len(vals) != 2 * row_deg[i]:
-            raise AlistFormatError(
-                f"line {lineno}: row {i + 1} expects {row_deg[i]} (col, code) pairs"
-            )
-        for t in range(0, len(vals), 2):
-            j, code = vals[t] - 1, vals[t + 1]
-            if not 0 <= j < n_cols:
-                raise AlistFormatError(f"line {lineno}: column index {j + 1} out of range")
-            if h[i, j] != code:
+    # each view into its own matrix, one row per line: columns, then rows
+    views = []
+    for first, degrees, n_other, owner, other in (
+        (0, col_deg, n_rows, "column", "row"),
+        (n_cols, row_deg, n_cols, "row", "column"),
+    ):
+        view = np.zeros((len(degrees), n_other), dtype=np.int64)
+        for t, d in enumerate(degrees):
+            lineno, content = body[first + t]
+            vals = _ints(lineno, content)
+            if vals == [0] and d == 0:
+                continue
+            if len(vals) != 2 * d:
                 raise AlistFormatError(
-                    f"line {lineno}: row view disagrees with column view at "
-                    f"({i + 1},{j + 1})"
+                    f"line {lineno}: {owner} {t + 1} expects {d} ({other}, code) pairs"
                 )
+            for u, code in zip(vals[::2], vals[1::2]):
+                if not 1 <= u <= n_other:
+                    raise AlistFormatError(f"line {lineno}: {other} index {u} out of range")
+                if not 1 <= code < q:
+                    raise AlistFormatError(f"line {lineno}: field code {code} out of range")
+                if view[t, u - 1]:
+                    raise AlistFormatError(
+                        f"line {lineno}: {owner} {t + 1} repeats {other} {u}"
+                    )
+                view[t, u - 1] = code
+        views.append(view)
+    by_col, h = views
+    differ = np.argwhere(by_col.T != h)
+    if differ.size:
+        i, j = differ[0]
+        raise AlistFormatError(
+            f"line {body[n_cols + i][0]}: row view disagrees with column view at "
+            f"({i + 1},{j + 1})"
+        )
     return field, h
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -129,40 +128,6 @@ def weight2_base(m: int, n: int) -> BaseMatrix:
 
 
 @dataclass(frozen=True)
-class Diagnostics:
-    m: int
-    n: int
-    column_degrees: tuple[int, ...]
-    row_degrees: tuple[int, ...]
-    rate_lower_bound: Fraction
-    column_regular: bool
-    column_weight: int | None
-    warnings: tuple[str, ...]
-
-
-def validate(h: BaseMatrix) -> Diagnostics:
-    """Degree profiles and the rate lower bound 1 - m/n of a base matrix."""
-    if int(h.bits.sum()) == 0:
-        raise ValueError("degenerate base matrix: no nonzero entries")
-    notes = []
-    if any(d == 0 for d in h.column_degrees):
-        notes.append("matrix has all-zero columns")
-    if any(d == 0 for d in h.row_degrees):
-        notes.append("matrix has all-zero rows")
-    regular = len(set(h.column_degrees)) == 1
-    return Diagnostics(
-        m=h.m,
-        n=h.n,
-        column_degrees=h.column_degrees,
-        row_degrees=h.row_degrees,
-        rate_lower_bound=Fraction(h.n - h.m, h.n),
-        column_regular=regular,
-        column_weight=h.column_degrees[0] if regular else None,
-        warnings=tuple(notes),
-    )
-
-
-@dataclass(frozen=True)
 class Cycle:
     """Closed alternating (row, col) walk in canonical orientation.
 
@@ -235,20 +200,9 @@ def check_depth(depth: int) -> None:
         raise ValueError("depth must be even and at least 4")
 
 
-def _walk_cycles(
-    h: BaseMatrix, j: int, depth: int, cap: int | None, above_only: bool
-) -> CycleList:
-    """The cycles through column j, as cycles_through finds them.
-
-    With `above_only` the walk never steps to a column below j, so it finds
-    exactly the cycles whose smallest column is j.  The search order is
-    deterministic, so truncation by `cap` is reproducible.
-    """
-    if not 0 <= j < h.n:
-        raise ValueError(f"column index {j} out of range")
-    check_depth(depth)
+def _walk_cycles(h: BaseMatrix, j: int, depth: int, cap: int | None) -> CycleList:
+    """The cycles whose smallest column is j, in all_cycles' order."""
     max_k = depth // 2
-    lowest = j + 1 if above_only else 0
     closes = set(h.rows_of_col[j])
     # per column, its rows that also meet column j, in rows_of_col order
     closing = [[i for i in rows if i in closes] for rows in h.rows_of_col]
@@ -288,7 +242,7 @@ def _walk_cycles(
             rows_used.add(i)
             rows_path.append(i)
             for j2 in h.cols_of_row[i]:
-                if j2 < lowest or j2 in cols_used:
+                if j2 < j or j2 in cols_used:
                     continue
                 if k + 1 == max_k:
                     # the last column can only close the walk: the body of
@@ -311,32 +265,21 @@ def _walk_cycles(
     return found
 
 
-def cycles_through(
-    h: BaseMatrix, j: int, depth: int, cap: int | None = None
-) -> list[Cycle]:
-    """All distinct cycles through column j with length <= depth.
-
-    Found by depth-limited alternating DFS walks starting at the variable
-    node; each cycle is reported once, in canonical form.  When `cap`
-    cycles of one length have been collected, further cycles of that
-    length are dropped with a warning.
-    """
-    return _walk_cycles(h, j, depth, cap, above_only=False)
-
-
 def all_cycles(h: BaseMatrix, depth: int, cap: int | None = None) -> CycleList:
     """Every cycle of length <= depth, each found once from its smallest column.
 
-    The order is that of the union of cycles_through over the columns in
-    ascending order with repeats dropped: a cycle first turns up in the
-    walk from its smallest column, and restricting that walk to larger
-    columns removes only walks through other cycles.  `cap` bounds the
-    cycles per (smallest column, length); `.truncated` tells whether it
-    dropped any.
+    Cycles come grouped by smallest column, ascending.  Within a group they
+    come in the order of a depth-first walk from that column over larger
+    columns: rows in rows_of_col order, then columns in cols_of_row order,
+    a cycle recorded as the walk closes back to the start column, in the
+    direction whose first row is the smaller.  The order is deterministic,
+    so truncation by `cap` is reproducible.  `cap` bounds the cycles per
+    (smallest column, length); `.truncated` tells whether it dropped any.
     """
+    check_depth(depth)
     out = CycleList()
     for j in range(h.n):
-        found = _walk_cycles(h, j, depth, cap, above_only=True)
+        found = _walk_cycles(h, j, depth, cap)
         out.extend(found)
         out.truncated |= found.truncated
     return out
@@ -347,9 +290,12 @@ def cycle_ace(h: BaseMatrix, c: Cycle) -> int:
     return sum(h.column_degrees[j] - 2 for j in c.cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class AceVector:
-    """Per-length minimum ACE values (e_4, e_6, ...), inf for empty lengths."""
+    """Per-length minimum ACE values (e_4, e_6, ...), inf for empty lengths.
+
+    Vectors of one depth order lexicographically by their values.
+    """
 
     depth: int
     values: tuple[float, ...]
@@ -371,35 +317,6 @@ class AceVector:
 def inf_or_int(v: float) -> int | str:
     """An ACE value or a girth as printed and reported: the integer, or "inf"."""
     return "inf" if math.isinf(v) else int(v)
-
-
-def ace_vector(
-    h: BaseMatrix,
-    cycles_with_status: list[tuple[Cycle, bool]],
-    depth: int,
-) -> AceVector:
-    """Minimum ACE per length over cycles whose eliminated flag is False."""
-    best: dict[int, float] = {length: math.inf for length in range(4, depth + 1, 2)}
-    for cycle, eliminated in cycles_with_status:
-        if eliminated:
-            continue
-        if cycle.length > depth:
-            continue
-        ace = cycle_ace(h, cycle)
-        if ace < best[cycle.length]:
-            best[cycle.length] = ace
-    return AceVector(depth, tuple(best[length] for length in range(4, depth + 1, 2)))
-
-
-def lex_compare(a: AceVector, b: AceVector) -> int:
-    """-1, 0 or 1 for a <, =, > b under lexicographic order (inf beats any int)."""
-    if a.depth != b.depth:
-        raise ValueError(f"depth mismatch: {a.depth} != {b.depth}")
-    if a.values < b.values:
-        return -1
-    if a.values > b.values:
-        return 1
-    return 0
 
 
 def lifted_edges(pattern, shift=None, s: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import GF
-from .lifter import Lifting
+from .lifter import Lifting, check_int
 from .linalg import gf_matmul, gf_rref
 
 _PROB_FLOOR = 1e-30
@@ -475,6 +475,7 @@ class QspaDecoder:
         if w == 1:
             work()
             return outs
+        # the caller works too, not a w-thread pool.map: one thread and malloc arena fewer
         with ThreadPoolExecutor(max_workers=w - 1) as pool:
             rest = [pool.submit(work) for _ in range(w - 1)]
             work()
@@ -545,16 +546,6 @@ class QspaDecoder:
         return words, converged, iterations
 
 
-def qspa_decode(
-    code: CodeInstance, likelihoods: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, bool, int]:
-    """Decode one frame of per-symbol probability vectors."""
-    words, converged, iters = code.decoder().decode_batch(
-        np.asarray(likelihoods)[None], max_iter
-    )
-    return words[0], bool(converged[0]), int(iters[0])
-
-
 # ----------------------------------------------------------------------
 # Monte-Carlo driver
 # ----------------------------------------------------------------------
@@ -596,10 +587,7 @@ class SimConfig:
             ("decoder_max_iterations", 0),
             ("rng_seed", 0),
         ):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,7 @@ import sys
 import warnings
 
 from . import __version__
-from .alist_io import (
-    AlistFormatError,
-    load_matrix_file,
-    parse_qc,
-    serialize_qc,
-    sha256_of_file,
-)
+from .alist_io import AlistFormatError, load_matrix_file, serialize_qc, sha256_of_file
 from .base_graph import (
     BaseMatrix,
     all_cycles,
@@ -32,7 +26,6 @@ from .base_graph import (
     cycle_ace,
     girth,
     inf_or_int,
-    validate,
 )
 from .channel import CodeInstance, SimConfig, run_monte_carlo
 from .lifter import (
@@ -42,6 +35,7 @@ from .lifter import (
     distance_upper_bound,
     expanded_girth,
     greedy_lift,
+    rate_lower_bound,
 )
 
 # codes whose distance ceiling falls below this are flagged as floor-prone
@@ -89,20 +83,21 @@ def cmd_construct(args) -> int:
 # analyze
 # ----------------------------------------------------------------------
 def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None:
+    degrees = base.column_degrees
+    if not any(degrees):
+        raise ValueError("degenerate base matrix: no nonzero entries")
     cycles = all_cycles(base, depth)
-    diag = validate(base)
-    print(f"base matrix: {diag.m} x {diag.n}")
-    rate = diag.rate_lower_bound
+    print(f"base matrix: {base.m} x {base.n}")
+    rate = rate_lower_bound(base)
     print(f"rate lower bound: {rate} ({float(rate):.4f})")
-    degrees = sorted(set(diag.column_degrees))
-    profile = ", ".join(
-        f"{d}x{diag.column_degrees.count(d)}" for d in degrees
-    )
+    profile = ", ".join(f"{d}x{degrees.count(d)}" for d in sorted(set(degrees)))
     print(f"column weights: {profile}")
-    for note in diag.warnings:
-        print(f"warning: {note}")
-    if diag.column_regular and diag.column_weight is not None and diag.column_weight >= 1:
-        bound = distance_upper_bound(diag.column_weight, diag.m)
+    if 0 in degrees:
+        print("warning: matrix has all-zero columns")
+    if 0 in base.row_degrees:
+        print("warning: matrix has all-zero rows")
+    if len(set(degrees)) == 1:
+        bound = distance_upper_bound(degrees[0], base.m)
         print(f"distance upper bound: {bound}")
         if bound <= LOW_DISTANCE_THRESHOLD:
             print(

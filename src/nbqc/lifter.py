@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -68,7 +69,6 @@ from .base_graph import (
     check_depth,
     girth,
     inf_or_int,
-    lex_compare,
     lifted_edges,
 )
 from .gf import GF
@@ -77,9 +77,16 @@ MAX_DEPTH = 12  # bounds the k! candidate matchings per 2k-cycle in _cycle_match
 _LOOKUP_CHUNK = 1 << 16  # bounds the (cycles, k!, k) index array of one numpy lookup
 
 
+def check_int(name: str, value, low: int) -> int:
+    """`value` as an int if it is a non-bool integer >= low; else a ValueError naming `name`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConstructionConfig:
-    """Inputs of the greedy construction."""
+    """Inputs of the greedy construction, checked on construction."""
 
     s: int
     q: int
@@ -89,19 +96,16 @@ class ConstructionConfig:
     cycle_cap: int | None = 100_000
 
     def __post_init__(self) -> None:
-        if self.s < 2:
-            raise ValueError("circulant size must be at least 2")
-        if self.q < 2 or self.q & (self.q - 1):
+        lows = {"s": 2, "q": 2, "depth": 4, "trials_per_edge": 1, "rng_seed": 0}
+        if self.cycle_cap is not None:
+            lows["cycle_cap"] = 1
+        for name, low in lows.items():
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+        if self.q & (self.q - 1):
             raise ValueError(f"q must be a power of 2, got {self.q}")
         check_depth(self.depth)
         if self.depth > MAX_DEPTH:
             raise ValueError(f"depth above {MAX_DEPTH} is not supported")
-        if self.trials_per_edge < 1:
-            raise ValueError("trials_per_edge must be at least 1")
-        if self.cycle_cap is not None and self.cycle_cap < 1:
-            raise ValueError("cycle_cap must be positive or None")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     def make_field(self) -> GF:
         return GF(self.q.bit_length() - 1)
@@ -482,7 +486,7 @@ def greedy_lift(
         last = None
         for (beta, shift), key in zip(draws, keys):
             vec = vectors[key]
-            if lex_compare(ace_max, vec) <= 0:
+            if ace_max <= vec:
                 ace_max = vec
                 accepted.append(AcceptedTrial((i, j), shift, beta, vec.values))
                 last = (beta, shift, key)

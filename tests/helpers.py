@@ -2,19 +2,21 @@
 
 Deliberately written without reusing the library's internals: carry-less
 field multiplication, plain-Python Gaussian elimination, a permutation
-based cycle enumerator, a direct xor-convolution, the butterfly
-Walsh-Hadamard transform and the padded-slot FFT-QSPA decoder, the dense
-circulant algebra (polynomials mod x^s - 1, their cofactor determinant and
-their block-by-block expansion), and a one-trial-at-a-time greedy
+based cycle enumerator and a plain recursive cycle walk, a direct
+xor-convolution, the butterfly Walsh-Hadamard transform and the
+padded-slot FFT-QSPA decoder, the dense circulant algebra (polynomials mod
+x^s - 1, their cofactor determinant and their block-by-block expansion),
+the ACE vector of flagged cycles, and a one-trial-at-a-time greedy
 construction on the cofactor determinant.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from nbqc.base_graph import BaseMatrix, Cycle, ace_vector, girth, lex_compare
+from nbqc.base_graph import AceVector, BaseMatrix, Cycle, cycle_ace, girth
 from nbqc.channel import _PROB_FLOOR
 from nbqc.gf import GF
 from nbqc.lifter import AcceptedTrial, ConstructionReport, Lifting, Monomial
@@ -284,6 +286,30 @@ def brute_force_cycles(h: BaseMatrix, depth: int) -> set[Cycle]:
     return found
 
 
+def cycles_through(h: BaseMatrix, j: int, depth: int) -> list[Cycle]:
+    """Every cycle through column j with length <= depth, in depth-first order.
+
+    The walk from column j tries rows in rows_of_col order, then columns in
+    cols_of_row order, and records a cycle as it closes back to j in the
+    direction whose first row is the smaller.
+    """
+    found = []
+
+    def walk(cols: list[int], rows: list[int]) -> None:
+        for i in h.rows_of_col[cols[-1]]:
+            if i in rows:
+                continue
+            if len(cols) >= 2 and h.bits[i, j] and rows[0] < i:
+                found.append(Cycle.from_walk(cols, rows + [i]))
+            if 2 * len(cols) < depth:
+                for j2 in h.cols_of_row[i]:
+                    if j2 not in cols:
+                        walk(cols + [j2], rows + [i])
+
+    walk([j], [])
+    return found
+
+
 def direct_xor_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """O(q^2) convolution over the additive group of GF(2^p)."""
     q = a.size
@@ -430,6 +456,18 @@ def random_base_matrix(rng: np.random.Generator, m: int, n: int) -> BaseMatrix:
             return BaseMatrix(bits)
 
 
+def ace_vector(
+    h: BaseMatrix, cycles_with_status: list[tuple[Cycle, bool]], depth: int
+) -> AceVector:
+    """Minimum ACE per length over cycles whose eliminated flag is False."""
+    best: dict[int, float] = {length: math.inf for length in range(4, depth + 1, 2)}
+    for cycle, eliminated in cycles_with_status:
+        if eliminated or cycle.length > depth:
+            continue
+        best[cycle.length] = min(best[cycle.length], cycle_ace(h, cycle))
+    return AceVector(depth, tuple(best[length] for length in range(4, depth + 1, 2)))
+
+
 def reference_greedy_lift(h: BaseMatrix, cfg) -> tuple[Lifting, ConstructionReport]:
     """The greedy construction, one trial at a time.
 
@@ -463,7 +501,7 @@ def reference_greedy_lift(h: BaseMatrix, cfg) -> tuple[Lifting, ConstructionRepo
                 for c in affected:
                     status[c] = eliminated(c)
                 vec = ace_vector(h, list(status.items()), cfg.depth)
-                if lex_compare(ace_max, vec) <= 0:
+                if ace_max <= vec:
                     ace_max = vec
                     accepted.append(AcceptedTrial((i, j), draw.shift, draw.beta, vec.values))
                 else:

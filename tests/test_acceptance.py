@@ -17,14 +17,13 @@ from helpers import (
     plain_rank,
     random_base_matrix,
 )
-from nbqc.base_graph import BaseMatrix, all_cycles, cycles_through, weight2_base
+from nbqc.base_graph import BaseMatrix, all_cycles, weight2_base
 from nbqc.channel import (
     SimConfig,
     build_code,
     make_modulation,
     modulate,
     modulate_and_transmit,
-    qspa_decode,
     run_monte_carlo,
     symbol_likelihoods,
 )
@@ -104,7 +103,7 @@ def test_criterion_4_elimination_oracle_equivalence():
     """
     base2 = BaseMatrix(np.ones((2, 2), dtype=int))
     base3 = BaseMatrix(np.ones((3, 3), dtype=int))
-    (cyc2,) = cycles_through(base2, 0, 4)
+    (cyc2,) = all_cycles(base2, 4)
     cyc3 = next(c for c in all_cycles(base3, 6) if c.length == 6)
     rng = np.random.default_rng(2024)
     samples = disagreements = 0
@@ -221,7 +220,7 @@ def test_criterion_7_decoder_sanity():
     for _ in range(100):
         cw = code.encode(rng.integers(0, 4, size=code.k))
         lik = symbol_likelihoods(modulate(cw, 2, mod), mod, 300.0, 2, code.n)
-        word, conv, _ = qspa_decode(code, lik, 10)
+        (word,), (conv,), _ = code.decoder().decode_batch(lik[None], 10)
         noiseless_ok &= conv and np.array_equal(word, cw)
 
     from nbqc.channel import CodeInstance
@@ -239,7 +238,7 @@ def test_criterion_7_decoder_sanity():
                 lik[pos] = 1e-6
                 lik[pos, wrong] = 1.0
                 lik /= lik.sum(axis=1, keepdims=True)
-                word, conv, _ = qspa_decode(toy, lik, 20)
+                (word,), (conv,), _ = toy.decoder().decode_batch(lik[None], 20)
                 single_ok &= conv and np.array_equal(word, cw)
 
     syndrome_ok = True
@@ -249,7 +248,7 @@ def test_criterion_7_decoder_sanity():
         cw = code.encode(frng.integers(0, 4, size=code.k))
         rx = modulate_and_transmit(cw, 2, mod, 1.0, frng)
         lik = symbol_likelihoods(rx, mod, 1.0, 2, code.n)
-        word, conv, _ = qspa_decode(code, lik, 15)
+        (word,), (conv,), _ = code.decoder().decode_batch(lik[None], 15)
         if conv:
             converged_seen += 1
             syndrome_ok &= not code.syndrome(word).any()

@@ -5,19 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_cycles, random_base_matrix
-from nbqc.base_graph import (
-    AceVector,
-    BaseMatrix,
-    Cycle,
-    ace_vector,
-    all_cycles,
-    cycle_ace,
-    cycles_through,
-    girth,
-    lex_compare,
-    validate,
-)
+from helpers import ace_vector, brute_force_cycles, cycles_through, random_base_matrix
+from nbqc.base_graph import AceVector, BaseMatrix, Cycle, all_cycles, cycle_ace, girth
+from nbqc.cli import _analyze_base
 
 EX_BASE = BaseMatrix([[0, 1, 1], [1, 0, 1]])
 
@@ -70,46 +60,52 @@ def test_bits_are_read_only():
 
 
 # ----------------------------------------------------------------------
-# validate
+# validation, as `nbqc analyze` reports it
 # ----------------------------------------------------------------------
-def test_validate_small_example():
-    diag = validate(EX_BASE)
-    assert (diag.m, diag.n) == (2, 3)
-    assert float(diag.rate_lower_bound) == pytest.approx(1 / 3)
-    assert diag.column_degrees == (1, 1, 2)
-    assert not diag.column_regular
+def analyzed(h: BaseMatrix, capsys) -> list[str]:
+    _analyze_base(h, 4, None)
+    return capsys.readouterr().out.splitlines()
 
 
-def test_validate_high_rate_base():
+def test_validate_small_example(capsys):
+    out = analyzed(EX_BASE, capsys)
+    assert out[:3] == [
+        "base matrix: 2 x 3",
+        "rate lower bound: 1/3 (0.3333)",
+        "column weights: 1x2, 2x1",
+    ]
+    # irregular columns: no distance ceiling
+    assert not any(line.startswith("distance upper bound") for line in out)
+
+
+def test_validate_high_rate_base(capsys):
     bits = np.zeros((4, 33), dtype=int)
     bits[0, :] = 1  # degrees irrelevant to the rate bound
-    diag = validate(BaseMatrix(bits))
-    assert diag.rate_lower_bound.numerator == 29
-    assert diag.rate_lower_bound.denominator == 33
-    assert float(diag.rate_lower_bound) == pytest.approx(0.8788, abs=1e-4)
+    assert "rate lower bound: 29/33 (0.8788)" in analyzed(BaseMatrix(bits), capsys)
 
 
-def test_validate_all_zero_rejected():
-    with pytest.raises(ValueError):
-        validate(BaseMatrix([[0, 0], [0, 0]]))
+def test_validate_all_zero_rejected(capsys):
+    with pytest.raises(ValueError, match="^degenerate base matrix: no nonzero entries$"):
+        _analyze_base(BaseMatrix([[0, 0], [0, 0]]), 4, None)
+    assert capsys.readouterr().out == ""
 
 
-def test_validate_flags_zero_columns():
-    diag = validate(BaseMatrix([[1, 0], [1, 0]]))
-    assert any("column" in w for w in diag.warnings)
+def test_validate_flags_zero_columns(capsys):
+    out = analyzed(BaseMatrix([[1, 0], [1, 0]]), capsys)
+    assert "warning: matrix has all-zero columns" in out
+    assert "warning: matrix has all-zero rows" not in out
 
 
 # ----------------------------------------------------------------------
 # cycle enumeration
 # ----------------------------------------------------------------------
 def test_tree_base_has_no_cycles():
-    for j in range(3):
-        assert cycles_through(EX_BASE, j, 12) == []
+    assert all_cycles(EX_BASE, 12) == []
 
 
 def test_two_by_two_all_ones_single_cycle():
     h = BaseMatrix([[1, 1], [1, 1]])
-    cycles = cycles_through(h, 0, 4)
+    cycles = all_cycles(h, 4)
     assert len(cycles) == 1
     c = cycles[0]
     assert c.length == 4
@@ -141,22 +137,13 @@ def test_matches_brute_force_enumerator(seed):
     assert set(all_cycles(h, 8)) == brute_force_cycles(h, 8)
 
 
-def test_cycles_through_only_returns_cycles_through_j():
-    rng = np.random.default_rng(3)
-    h = random_base_matrix(rng, 4, 8)
-    for j in range(h.n):
-        for c in cycles_through(h, j, 8):
-            assert j in c.cols
-            c.check_against(h)
-
-
 def test_cycle_cap_truncates_with_warning():
     h = BaseMatrix(np.ones((4, 4), dtype=int))
     with pytest.warns(UserWarning, match="cycle cap"):
-        capped = cycles_through(h, 0, 4, cap=2)
-    assert len([c for c in capped if c.length == 4]) == 2
-    full = cycles_through(h, 0, 4)
-    assert len(full) > 2
+        capped = all_cycles(h, 4, cap=2)
+    assert len([c for c in capped if min(c.cols) == 0 and c.length == 4]) == 2
+    full = all_cycles(h, 4)
+    assert len([c for c in full if min(c.cols) == 0]) > 2
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -189,13 +176,13 @@ def test_all_cycles_cap_counts_per_smallest_column():
 # ----------------------------------------------------------------------
 def test_cycle_ace_degree_two_columns():
     h = BaseMatrix([[1, 1], [1, 1]])
-    (c,) = cycles_through(h, 0, 4)
+    (c,) = all_cycles(h, 4)
     assert cycle_ace(h, c) == 0
 
 
 def test_cycle_ace_three_by_two_all_ones():
     h = BaseMatrix(np.ones((3, 2), dtype=int))
-    c = cycles_through(h, 0, 4)[0]
+    c = all_cycles(h, 4)[0]
     assert cycle_ace(h, c) == 2
 
 
@@ -261,7 +248,7 @@ def test_ace_vector_monotone_under_elimination():
         bumped = list(status)
         bumped[idx] = True
         new_vec = ace_vector(h, list(zip(cycles, bumped)), 8)
-        assert lex_compare(base_vec, new_vec) <= 0
+        assert base_vec <= new_vec
 
 
 # ----------------------------------------------------------------------
@@ -269,18 +256,14 @@ def test_ace_vector_monotone_under_elimination():
 # ----------------------------------------------------------------------
 def test_lex_compare_reference_orderings():
     a = AceVector(8, (1, 2, 3))
-    assert lex_compare(a, AceVector(8, (2, 2, 3))) == -1
-    assert lex_compare(a, AceVector(8, (1, 3, 3))) == -1
-    assert lex_compare(a, AceVector(8, (1, 2, 3))) == 0
+    assert a < AceVector(8, (2, 2, 3))
+    assert a < AceVector(8, (1, 3, 3))
+    same = AceVector(8, (1, 2, 3))
+    assert a == same and a <= same and not a < same
 
 
 def test_lex_compare_infinity_dominates():
-    assert lex_compare(AceVector(6, (math.inf, 1)), AceVector(6, (5, 9))) == 1
-
-
-def test_lex_compare_depth_mismatch():
-    with pytest.raises(ValueError):
-        lex_compare(AceVector(6, (1, 2)), AceVector(8, (1, 2, 3)))
+    assert AceVector(6, (math.inf, 1)) > AceVector(6, (5, 9))
 
 
 def test_ace_vector_validation():
@@ -303,9 +286,11 @@ finite_or_inf = st.one_of(st.integers(0, 30), st.just(math.inf))
 )
 def test_lex_compare_total_order(va, vb, vc):
     a, b, c = (AceVector(6, v) for v in (va, vb, vc))
-    assert lex_compare(a, b) == -lex_compare(b, a)
-    if lex_compare(a, b) <= 0 and lex_compare(b, c) <= 0:
-        assert lex_compare(a, c) <= 0
+    assert (a < b) == (b > a) and (a <= b) == (b >= a)
+    assert (a < b) + (a == b) + (a > b) == 1
+    assert (a <= b) == (va <= vb)  # lexicographic in the values
+    if a <= b and b <= c:
+        assert a <= c
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from nbqc.channel import (
     modulate_and_transmit,
     noise_sigma,
     observation_weights,
-    qspa_decode,
     run_monte_carlo,
     symbol_likelihoods,
     symbols_to_bits,
@@ -317,7 +316,7 @@ def test_noiseless_decoding_iteration_zero():
         cw = code.encode(rng.integers(0, 4, size=code.k))
         rx = modulate(cw, 2, mod)
         lik = symbol_likelihoods(rx, mod, 300.0, 2, code.n)
-        word, converged, iters = qspa_decode(code, lik, 10)
+        (word,), (converged,), (iters,) = code.decoder().decode_batch(lik[None], 10)
         assert converged and iters == 0
         assert np.array_equal(word, cw)
 
@@ -334,7 +333,7 @@ def test_all_single_symbol_errors_corrected():
                 lik[pos] = 1e-6
                 lik[pos, wrong] = 1.0
                 lik[pos] /= lik[pos].sum()
-                word, converged, _ = qspa_decode(code, lik, 20)
+                (word,), (converged,), _ = code.decoder().decode_batch(lik[None], 20)
                 assert converged
                 assert np.array_equal(word, cw), (info, pos, wrong)
 
@@ -348,7 +347,7 @@ def test_converged_outputs_have_zero_syndrome():
         cw = code.encode(rng.integers(0, 4, size=code.k))
         rx = modulate_and_transmit(cw, 2, mod, 1.0, rng)
         lik = symbol_likelihoods(rx, mod, 1.0, 2, code.n)
-        word, converged, _ = qspa_decode(code, lik, 15)
+        (word,), (converged,), _ = code.decoder().decode_batch(lik[None], 15)
         if converged:
             convergences += 1
             assert not code.syndrome(word).any()
@@ -421,7 +420,7 @@ def test_batch_equals_single_frame_decoding():
     priors = np.stack(batch)
     words_b, conv_b, iters_b = code.decoder().decode_batch(priors, 12)
     for t in range(12):
-        w, c, i = qspa_decode(code, priors[t], 12)
+        (w,), (c,), (i,) = code.decoder().decode_batch(priors[t : t + 1], 12)
         assert np.array_equal(w, words_b[t])
         assert c == conv_b[t] and i == iters_b[t]
 
@@ -723,7 +722,7 @@ def test_monte_carlo_matches_ml_oracle_on_toy_code():
         cw = code.encode(info)
         rx = modulate_and_transmit(cw, 2, mod, snr_db, rng)
         lik = symbol_likelihoods(rx, mod, snr_db, 2, 3)
-        word, _, _ = qspa_decode(code, lik, 20)
+        (word,), _, _ = code.decoder().decode_batch(lik[None], 20)
         bp_errors += int(not np.array_equal(word, cw))
         scores = np.log(lik[np.arange(3)[None, :], codewords]).sum(axis=1)
         ml_errors += int(not np.array_equal(codewords[scores.argmax()], cw))

@@ -183,6 +183,123 @@ def test_analyze_full_nbalist_checks_depth(tmp_path, capsys):
     assert captured.err == "error: depth must be even and at least 4\n"
 
 
+# `nbqc analyze --depth 8` stdout, byte for byte, per perfbench input
+ANALYZE_STDOUT = {
+    "base_4x16.txt": (
+        "base matrix: 4 x 16\n"
+        "rate lower bound: 3/4 (0.7500)\n"
+        "column weights: 2x16\n"
+        "distance upper bound: 40\n"
+        "warning: distance upper bound 40 <= 100; error-floor prone\n"
+        "base girth: 4\n"
+        "length 4: 14 cycles, min ACE 0\n"
+        "length 6: 75 cycles, min ACE 0\n"
+        "length 8: 144 cycles, min ACE 0\n"
+    ),
+    "base_4x33.txt": (
+        "base matrix: 4 x 33\n"
+        "rate lower bound: 29/33 (0.8788)\n"
+        "column weights: 2x33\n"
+        "distance upper bound: 40\n"
+        "warning: distance upper bound 40 <= 100; error-floor prone\n"
+        "base girth: 4\n"
+        "length 4: 75 cycles, min ACE 0\n"
+        "length 6: 665 cycles, min ACE 0\n"
+        "length 8: 2700 cycles, min ACE 0\n"
+    ),
+    "base_8x66.txt": (
+        "base matrix: 8 x 66\n"
+        "rate lower bound: 29/33 (0.8788)\n"
+        "column weights: 2x66\n"
+        "distance upper bound: 1152\n"
+        "base girth: 4\n"
+        "length 4: 48 cycles, min ACE 0\n"
+        "length 6: 751 cycles, min ACE 0\n"
+        "length 8: 6555 cycles, min ACE 0\n"
+    ),
+    "gf16_4x16_s12.alist": (
+        "base matrix: 4 x 16\n"
+        "rate lower bound: 3/4 (0.7500)\n"
+        "column weights: 2x16\n"
+        "distance upper bound: 40\n"
+        "warning: distance upper bound 40 <= 100; error-floor prone\n"
+        "base girth: 4\n"
+        "length 4: 14 cycles, min ACE 0; all eliminated (e = inf)\n"
+        "length 6: 75 cycles, min ACE 0; all eliminated (e = inf)\n"
+        "length 8: 144 cycles, min ACE 0; all eliminated (e = inf)\n"
+        "circulant size: 12, field order: 16\n"
+        "expanded girth: 4\n"
+    ),
+    "gf64_8x66_s70.alist": (
+        "base matrix: 8 x 66\n"
+        "rate lower bound: 29/33 (0.8788)\n"
+        "column weights: 2x66\n"
+        "distance upper bound: 1152\n"
+        "base girth: 4\n"
+        "length 4: 48 cycles, min ACE 0; all eliminated (e = inf)\n"
+        "length 6: 751 cycles, min ACE 0; all eliminated (e = inf)\n"
+        "length 8: 6555 cycles, min ACE 0; all eliminated (e = inf)\n"
+        "circulant size: 70, field order: 64\n"
+        "expanded girth: 4\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_STDOUT))
+def test_analyze_stdout_is_byte_identical(name, capsys):
+    assert main(["analyze", str(INPUTS / name), "--depth", "8"]) == 0
+    assert capsys.readouterr().out == ANALYZE_STDOUT[name]
+
+
+# a base with an all-zero row and an all-zero column, and its trivial
+# lifting (beta 1, shift 0 on every edge) at s=3 over GF(4)
+ZERO_ROW_COL = "4 5\n1 1 0 1 0\n1 1 1 0 0\n0 1 1 1 0\n0 0 0 0 0\n"
+ZERO_ROW_COL_LIFTED = (
+    "nbalist qc\npoly 7\n4 5 3 4\n1 1 0 1\n1 2 0 1\n1 4 0 1\n"
+    "2 1 0 1\n2 2 0 1\n2 3 0 1\n3 2 0 1\n3 3 0 1\n3 4 0 1\n"
+)
+ZERO_ROW_COL_STDOUT = (
+    "base matrix: 4 x 5\n"
+    "rate lower bound: 1/5 (0.2000)\n"
+    "column weights: 0x1, 2x3, 3x1\n"
+    "warning: matrix has all-zero columns\n"
+    "warning: matrix has all-zero rows\n"
+    "base girth: 4\n"
+    "length 4: 3 cycles, min ACE 1\n"
+    "length 6: 4 cycles, min ACE 0\n"
+    "length 8: no cycles\n"
+)
+ZERO_ROW_COL_LIFTED_STDOUT = (
+    "base matrix: 4 x 5\n"
+    "rate lower bound: 1/5 (0.2000)\n"
+    "column weights: 0x1, 2x3, 3x1\n"
+    "warning: matrix has all-zero columns\n"
+    "warning: matrix has all-zero rows\n"
+    "base girth: 4\n"
+    "length 4: 3 cycles, min ACE 1; 3 surviving, min ACE 1\n"
+    "length 6: 4 cycles, min ACE 0; 1 surviving, min ACE 0\n"
+    "length 8: no cycles\n"
+    "circulant size: 3, field order: 4\n"
+    "expanded girth: 4\n"
+)
+
+
+def test_analyze_zero_row_and_column_stdout(tmp_path, capsys):
+    assert main(["analyze", write(tmp_path / "z.txt", ZERO_ROW_COL), "--depth", "8"]) == 0
+    assert capsys.readouterr().out == ZERO_ROW_COL_STDOUT
+    lifted = write(tmp_path / "z.alist", ZERO_ROW_COL_LIFTED)
+    assert main(["analyze", lifted, "--depth", "8"]) == 0
+    assert capsys.readouterr().out == ZERO_ROW_COL_LIFTED_STDOUT
+
+
+def test_analyze_all_zero_base_fails(tmp_path, capsys):
+    base = write(tmp_path / "zero.txt", "2 3\n0 0 0\n0 0 0\n")
+    assert main(["analyze", base, "--depth", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degenerate base matrix: no nonzero entries\n"
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     bad = write(tmp_path / "bad.txt", "not a matrix\n")
     assert main(["analyze", bad]) == 1

@@ -149,6 +149,25 @@ def test_full_parse_errors():
             parse_full(good.replace(line, bad, 1))
 
 
+def test_full_rejects_row_view_that_drops_entries():
+    # row 2 declared empty, while column 2 lists it
+    lines = serialize_full(F4, np.array([[1, 2], [0, 3]])).splitlines()
+    assert lines[5] == "2 1" and lines[-1] == "2 3"
+    lines[5], lines[-1] = "2 0", "0"
+    with pytest.raises(
+        AlistFormatError, match=r"^line 10: row view disagrees with column view at \(2,2\)"
+    ):
+        parse_full("\n".join(lines) + "\n")
+
+
+def test_full_rejects_row_line_repeating_an_entry():
+    lines = serialize_full(F4, np.array([[1, 2], [0, 3]])).splitlines()
+    assert lines[-2] == "1 1 2 2"
+    lines[-2] = "1 1 1 1"
+    with pytest.raises(AlistFormatError, match="^line 9: row 1 repeats column 1"):
+        parse_full("\n".join(lines) + "\n")
+
+
 def test_bad_poly_line_is_line_numbered():
     lifting = example_lifting()
     for parse, good, dims in (

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ace_vector,
     cycle_submatrix,
     plain_nullity,
     poly_matrix,
@@ -15,7 +16,7 @@ from helpers import (
     reference_greedy_lift,
 )
 from nbqc.alist_io import serialize_qc
-from nbqc.base_graph import BaseMatrix, all_cycles, cycles_through, girth, lex_compare
+from nbqc.base_graph import BaseMatrix, all_cycles, girth
 from nbqc.gf import GF
 from nbqc.lifter import (
     ConstructionConfig,
@@ -53,7 +54,7 @@ def random_lifting(rng, base, s, field):
 # ----------------------------------------------------------------------
 def test_trivial_assignment_never_eliminates_four_cycles():
     lifting = Lifting.trivial(ALL2, 3, F4)
-    (c,) = cycles_through(ALL2, 0, 4)
+    (c,) = all_cycles(ALL2, 4)
     assert cycle_eliminated(lifting, c) is False
 
 
@@ -62,14 +63,14 @@ def test_gf4_beta_cancellation():
     lifting = Lifting.trivial(ALL2, 3, F4)
     lifting.assignment[(0, 0)] = Monomial(2, 0)
     lifting.assignment[(1, 1)] = Monomial(3, 0)
-    (c,) = cycles_through(ALL2, 0, 4)
+    (c,) = all_cycles(ALL2, 4)
     assert cycle_eliminated(lifting, c) is False
 
 
 def test_single_shift_eliminates():
     lifting = Lifting.trivial(ALL2, 3, F4)
     lifting.assignment[(0, 0)] = Monomial(1, 1)
-    (c,) = cycles_through(ALL2, 0, 4)
+    (c,) = all_cycles(ALL2, 4)
     assert cycle_eliminated(lifting, c) is True
     det = cycle_submatrix(lifting, c).determinant()
     assert det.coeffs == (1, 1, 0)
@@ -81,7 +82,7 @@ def test_fast_path_agrees_with_determinant(s, q):
     rng = np.random.default_rng(s * 100 + q)
     for _ in range(300):
         lifting = random_lifting(rng, ALL2, s, field)
-        (c,) = cycles_through(ALL2, 0, 4)
+        (c,) = all_cycles(ALL2, 4)
         fast = cycle_eliminated(lifting, c)
         det = cycle_submatrix(lifting, c).determinant()
         assert fast == (not det.is_zero())
@@ -110,7 +111,7 @@ def test_elimination_vs_expanded_nullity_two_by_two():
         field = GF(q.bit_length() - 1)
         for _ in range(60):
             lifting = random_lifting(rng, ALL2, s, field)
-            (c,) = cycles_through(ALL2, 0, 4)
+            (c,) = all_cycles(ALL2, 4)
             eliminated = cycle_eliminated(lifting, c)
             nullity = plain_nullity(field, cycle_submatrix(lifting, c).expand())
             assert eliminated == (nullity < s)
@@ -146,7 +147,7 @@ def test_batch_elimination_matches_single_cycle_tests():
 
 def test_unassigned_edge_raises():
     lifting = Lifting.trivial(ALL2, 3, F4)
-    (c,) = cycles_through(ALL2, 0, 4)
+    (c,) = all_cycles(ALL2, 4)
     del lifting.assignment[(0, 0)]
     with pytest.raises(RuntimeError):
         cycle_eliminated(lifting, c)
@@ -204,7 +205,7 @@ def test_greedy_on_acyclic_base_reports_all_inf():
 def test_eliminating_assignments_exist_s3_q4():
     # exhaustive: redrawing one edge of the trivial assignment eliminates the
     # 4-cycle for every (beta, shift) except the identity draw
-    (c,) = cycles_through(ALL2, 0, 4)
+    (c,) = all_cycles(ALL2, 4)
     eliminating = 0
     for beta in range(1, 4):
         for shift in range(3):
@@ -218,7 +219,7 @@ def test_eliminating_assignments_exist_s3_q4():
 def test_greedy_eliminates_single_four_cycle():
     cfg = ConstructionConfig(s=3, q=4, depth=4, trials_per_edge=100, rng_seed=2)
     lifting, report = greedy_lift(ALL2, cfg)
-    (c,) = cycles_through(ALL2, 0, 4)
+    (c,) = all_cycles(ALL2, 4)
     assert cycle_eliminated(lifting, c)
     assert report.ace.values == (math.inf,)
     assert report.cycle_counts[4] == (0, 1)
@@ -248,14 +249,12 @@ def test_accepted_sequence_non_decreasing_and_final_not_worse():
             assert prev <= trial.ace
         prev = trial.ace
 
-    from nbqc.base_graph import ace_vector
-
     initial = Lifting.trivial(h, cfg.s, lifting.field)
     cycles = all_cycles(h, cfg.depth)
     init_vec = ace_vector(
         h, [(c, cycle_eliminated(initial, c)) for c in cycles], cfg.depth
     )
-    assert lex_compare(init_vec, report.ace) <= 0
+    assert init_vec <= report.ace
 
 
 def test_incremental_state_matches_full_recomputation():
@@ -263,8 +262,6 @@ def test_incremental_state_matches_full_recomputation():
     h = random_base_matrix(rng, 4, 7)
     cfg = ConstructionConfig(s=6, q=16, depth=8, trials_per_edge=25, rng_seed=7)
     lifting, report = greedy_lift(h, cfg)
-
-    from nbqc.base_graph import ace_vector
 
     cycles = all_cycles(h, cfg.depth)
     statuses = [(c, cycle_eliminated(lifting, c)) for c in cycles]
@@ -338,7 +335,7 @@ def test_plateau_moves_clear_disjoint_equal_minimum_cycles():
 def test_uneliminated_four_cycle_shows_in_expanded_girth():
     # a surviving 4-cycle must appear as a length-4 cycle in the expansion
     trivial = Lifting.trivial(ALL2, 3, F4)
-    (c,) = cycles_through(ALL2, 0, 4)
+    (c,) = all_cycles(ALL2, 4)
     assert not cycle_eliminated(trivial, c)
     assert expanded_girth(trivial) == 4
 
@@ -383,6 +380,30 @@ def test_config_validation():
         ConstructionConfig(s=4, q=4, trials_per_edge=0)
     with pytest.raises(ValueError, match="rng_seed"):
         ConstructionConfig(s=4, q=4, rng_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("s", 3.5),
+        ("q", 4.0),
+        ("depth", 6.0),
+        ("trials_per_edge", 2.5),
+        ("trials_per_edge", True),
+        ("rng_seed", 1.5),
+        ("cycle_cap", 2.5),
+        ("cycle_cap", 0),
+    ],
+)
+def test_config_rejects_mistyped_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ConstructionConfig(**{"s": 4, "q": 4, field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = ConstructionConfig(s=np.int64(4), q=np.uint8(16), depth=np.int32(6), cycle_cap=None)
+    assert (cfg.s, cfg.q, cfg.depth) == (4, 16, 6) and type(cfg.q) is int
+    assert cfg.make_field().q == 16
 
 
 def test_greedy_rejects_empty_base():
