@@ -9,6 +9,13 @@ lcm(p, k)-bit period, of the labels agreeing with each value), and decode with
 probability-domain belief propagation (flooding schedule, per-edge
 normalization, no damping).
 
+The encoder keeps the elimination's row transform T (T·H is the reduced
+row-echelon form), not the reduced matrix.  A frame x holding the
+information symbols and zeros at the pivot columns gets its parity
+symbols as T[:rank]·(H·x): the sparse product H·x over the edge list,
+then a rank x m dense product.  The same sparse H·x gives `syndrome` and
+the decoder's convergence test.
+
 Check-node updates are convolutions over the additive group of GF(2^p),
 computed as products in the Walsh-Hadamard domain after permuting each
 incoming message by its edge coefficient; each transform is one matrix
@@ -49,7 +56,7 @@ import numpy as np
 
 from .gf import GF
 from .lifter import Lifting, check_int
-from .linalg import gf_matmul, gf_rref
+from .linalg import gf_matmul, gf_rref, gf_sparse_matmul
 
 _PROB_FLOOR = 1e-30
 # frame-chunk size, in bytes of decoder messages or of demapper distances
@@ -161,9 +168,11 @@ def observation_weights(
     downstream, and the normalization keeps very high SNR finite.
     """
     n0 = 10.0 ** (-snr_db / 10.0)
-    d2 = np.abs(received[..., None] - modulation.points) ** 2
+    d2 = np.abs(received[..., None] - modulation.points)
+    np.square(d2, out=d2)
     d2 -= d2.min(axis=-1, keepdims=True)
-    return np.exp(-d2 / max(n0, _PROB_FLOOR))
+    np.divide(d2, -max(n0, _PROB_FLOOR), out=d2)
+    return np.exp(d2, out=d2)
 
 
 def symbol_likelihoods(
@@ -251,22 +260,30 @@ def _demap_table(p: int, k: int) -> list[list[tuple]]:
 class CodeInstance:
     """Expanded parity-check matrix with a systematic encoder.
 
-    The encoder comes from the reduced row-echelon form of H: pivot
-    columns carry parity symbols, the remaining columns carry information
-    symbols, and row r of the RREF expresses pivot symbol r as the
-    xor-product combination of the information symbols.
+    H is kept once, in the dtype of the field's table, and as its edge
+    list grouped by check (`edge_check`, `edge_var`, `edge_coeff`), which
+    `syndrome`, the encoder and the decoder read.  Elimination gives the
+    row transform T for which T·H is in reduced row-echelon form: pivot
+    columns carry parity symbols and the other columns information
+    symbols.  Row r of T·H says that pivot symbol r is the sum of the
+    information symbols times that row's entries, so with x the frame
+    holding the information symbols and zeros at the pivots, the parity
+    symbols are `parity_transform`·(H·x), where `parity_transform` is
+    T[:rank] and H·x is sparse.
     """
 
     def __init__(self, field: GF, h: np.ndarray) -> None:
-        h = np.array(h, dtype=np.int64)
+        h = np.asarray(h)
         if h.ndim != 2 or h.size == 0:
             raise ValueError("parity-check matrix must be non-empty and 2-D")
         if h.min() < 0 or h.max() >= field.q:
             raise ValueError("matrix entries out of field range")
+        h = self.h = h.astype(field.mul_table.dtype)
         self.field = field
-        self.h = h
         self.n = h.shape[1]
-        rref, pivots = gf_rref(field, h)
+        self.edge_check, self.edge_var = np.nonzero(h)
+        self.edge_coeff = h[self.edge_check, self.edge_var]
+        transform, pivots = gf_rref(field, h)
         self.rank = len(pivots)
         if self.rank < h.shape[0]:
             warnings.warn(
@@ -279,7 +296,7 @@ class CodeInstance:
         mask = np.ones(self.n, dtype=bool)
         mask[self.pivot_cols] = False
         self.info_cols = np.nonzero(mask)[0]
-        self.parity_map = rref[: self.rank][:, self.info_cols]
+        self.parity_transform = transform[: self.rank]
         self._decoder: QspaDecoder | None = None
 
     @property
@@ -295,11 +312,14 @@ class CodeInstance:
             raise ValueError(f"expected {self.k} information symbols, got {u.shape[1]}")
         out = np.zeros((u.shape[0], self.n), dtype=np.int64)
         out[:, self.info_cols] = u
-        out[:, self.pivot_cols] = gf_matmul(self.field, u, self.parity_map.T)
+        # x = out, zeros at the pivots: parity = T[:rank]·(H·x)
+        out[:, self.pivot_cols] = gf_matmul(self.field, self.syndrome(out), self.parity_transform.T)
         return out[0] if single else out
 
     def syndrome(self, word: np.ndarray) -> np.ndarray:
-        return gf_matmul(self.field, self.h, np.asarray(word)[:, None])[:, 0]
+        """H·word over GF(q), for one word or for each row of a batch."""
+        edges = self.edge_var, self.edge_check, self.edge_coeff  # H^T's nonzeros
+        return gf_sparse_matmul(self.field, np.asarray(word), *edges, self.h.shape[0])
 
     def decoder(self) -> "QspaDecoder":
         if self._decoder is None:
@@ -367,15 +387,13 @@ class QspaDecoder:
 
     def __init__(self, code: CodeInstance) -> None:
         # no back-reference to `code`: code.decoder() caches this object, and a
-        # cycle would keep the dense H and its RREF alive until a cyclic GC pass
+        # cycle would keep H and its row transform alive until a cyclic GC pass
         field = self.field = code.field
         q = self.q = field.q
-        h = code.h
-        self.n_checks, self.n_vars = h.shape
-        checks, vars_ = np.nonzero(h)  # edges grouped by check, for the syndrome
+        self.n_checks, self.n_vars = code.h.shape
+        checks, vars_, coeffs = code.edge_check, code.edge_var, code.edge_coeff
         self.n_edges = checks.size
-        self.edge_var, self.edge_coeff = vars_, h[checks, vars_]
-        self.check_starts = np.flatnonzero(np.diff(checks, prepend=-1))
+        self.edges = vars_, checks, coeffs  # H^T's nonzeros, for H·x
 
         c_order, _, self.check_classes = _degree_layout(checks, vars_, self.n_checks)
         v_order, self.var_order, self.var_classes = _degree_layout(vars_, checks, self.n_vars)
@@ -385,7 +403,7 @@ class QspaDecoder:
 
         # check->variable: message about x recovered from t = coeff * x;
         # variable->check: message about t = coeff * x, the inverse permutation
-        perm_cv = field.mul_table[self.edge_coeff[:, None], np.arange(q)]
+        perm_cv = field.mul_table[coeffs[:, None], np.arange(q)]
         perm_vc = np.argsort(perm_cv, axis=1)
         # flat (edge * q + symbol) gathers between the two orders
         v_pos, c_pos = np.argsort(v_order), np.argsort(c_order)
@@ -406,9 +424,7 @@ class QspaDecoder:
         return msgs
 
     def _converged(self, hard: np.ndarray) -> np.ndarray:
-        contrib = self.field.mul_table[self.edge_coeff[None, :], hard[:, self.edge_var]]
-        synd = np.bitwise_xor.reduceat(contrib, self.check_starts, axis=1)
-        return ~synd.any(axis=1)
+        return ~gf_sparse_matmul(self.field, hard, *self.edges, self.n_checks).any(axis=1)
 
     @property
     def chunk_frames(self) -> int:
@@ -642,8 +658,14 @@ def run_monte_carlo(
     information symbols and its noise from a generator seeded by
     (rng_seed, global frame index), and the index advances only over
     counted frames, so results are exactly the same at every batch size
-    and across runs with one seed.  A batch may decode frames past the
-    stopping one; they are dropped uncounted.
+    and across runs with one seed.
+
+    A batch is at most `batch_size` frames and the frames left, and at
+    most the frames the point's error rate so far needs to reach
+    `max_errors`: ceil((max_errors - errors) * frames / errors), with a
+    point that has no errors yet counted as if it had one (and at least
+    one frame).  Frames past the stopping one are dropped uncounted, so a
+    shorter batch only saves decoding.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
@@ -662,7 +684,8 @@ def run_monte_carlo(
         frames = errors = 0
         iter_sum = 0
         while frames < cfg.max_frames and errors < cfg.max_errors:
-            b = min(batch_size, cfg.max_frames - frames)
+            needed = -(-(cfg.max_errors - errors) * max(frames, 1) // max(errors, 1))
+            b = min(batch_size, cfg.max_frames - frames, needed)
             info = np.zeros((b, code.k), dtype=np.int64)
             noise = np.zeros((b, n_obs), dtype=complex)
             sigma = noise_sigma(snr_db)

@@ -1,8 +1,10 @@
-"""Dense linear algebra over GF(2^p).
+"""Linear algebra over GF(2^p).
 
 Matrices are numpy integer arrays whose entries are field element codes.
-Everything here is vectorized through the field's multiplication table,
-which keeps Gaussian elimination usable up to a few thousand columns.
+Everything here is vectorized through the field's multiplication table:
+a dense product, a product with a sparse matrix given by its nonzeros, and
+Gaussian elimination that returns the row transform instead of the
+reduced matrix.
 """
 
 from __future__ import annotations
@@ -34,36 +36,77 @@ def gf_matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def gf_rref(field: GF, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over GF(q).
+def gf_sparse_matmul(
+    field: GF, x: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_cols: int
+) -> np.ndarray:
+    """x · S over GF(q), for the sparse S with S[rows[e], cols[e]] = vals[e].
 
-    Returns (R, pivot_cols).  Rows are permuted/scaled/combined in place on
-    a copy; columns are never swapped, so pivot columns are reported in
-    increasing order and len(pivot_cols) is the rank.
+    The entries must be grouped by column (equal `cols` adjacent).  One
+    `reduceat` xor-reduces each column's products over the last axis of x,
+    and the sums are scattered into the columns that have entries; the
+    other columns of the (..., n_cols) result stay zero.
     """
-    r = np.array(a, dtype=np.int64, copy=True)
-    if r.ndim != 2:
+    mul = field.mul_table
+    out = np.zeros(x.shape[:-1] + (n_cols,), dtype=mul.dtype)
+    if len(rows):
+        starts = np.flatnonzero(np.diff(cols, prepend=-1))
+        out[..., cols[starts]] = np.bitwise_xor.reduceat(mul[x[..., rows], vals], starts, axis=-1)
+    return out
+
+
+def gf_rref(field: GF, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Row transform of the reduced row-echelon form over GF(q).
+
+    Returns (T, pivot_cols): T is an invertible m x m matrix, in the dtype
+    of the field's table, such that T·a is the RREF of the m x n matrix a.
+    Columns are never swapped and each pivot is the first nonzero at or
+    below the current row, so pivot columns come in increasing order and
+    len(pivot_cols) is the rank.
+
+    The columns of a are reduced 2m at a time next to T: the working
+    matrix is [T·a[:, block] | T], and row operations touch only its
+    columns at or right of the pivot.  The first block is a itself (T = I
+    then); a later one is T times a's nonzeros in the block.  Elimination
+    stops at rank m, so a full-rank a whose pivots lie in its first 2m
+    columns never forms a second block.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     mul = field.mul_table
-    m, n = r.shape
+    m, n = a.shape
+    width = max(1, 2 * m)
+    t = np.eye(m, dtype=mul.dtype)
     pivot_cols: list[int] = []
     row = 0
-    for col in range(n):
-        if row >= m:
+    for lo in range(0, n, width):
+        if row == m:
             break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot = row + nz[0]
-        if pivot != row:
-            r[[row, pivot]] = r[[pivot, row]]
-        inv = field.inv(int(r[row, col]))
-        r[row] = mul[inv, r[row]]
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            factors = r[others, col]
-            r[others] ^= mul[factors[:, None], r[row][None, :]]
-        pivot_cols.append(col)
-        row += 1
-    return r, pivot_cols
+        hi = min(lo + width, n)
+        work = np.empty((m, hi - lo + m), dtype=mul.dtype)
+        if lo:
+            cols, rows = np.nonzero(a[:, lo:hi].T)  # grouped by column
+            work[:, : hi - lo] = gf_sparse_matmul(field, t, rows, cols, a[rows, lo + cols], hi - lo)
+        else:
+            work[:, : hi - lo] = a[:, :hi]
+        work[:, hi - lo :] = t
+        for col in range(hi - lo):
+            if row == m:
+                break
+            nz = work[row:, col].nonzero()[0]
+            if nz.size == 0:
+                continue
+            pivot = row + nz[0]
+            if pivot != row:
+                work[[row, pivot], col:] = work[[pivot, row], col:]
+            # left of col, the pivot row and every row below it are zero
+            prow = work[row, col:]
+            prow[:] = mul[field.inv(int(prow[0])), prow]
+            others = work[:, col].nonzero()[0]
+            others = others[others != row]
+            if others.size:
+                work[others, col:] ^= mul[work[others, col][:, None], prow]
+            pivot_cols.append(lo + col)
+            row += 1
+        t = work[:, hi - lo :]
+    return np.ascontiguousarray(t), pivot_cols

@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately written without reusing the library's internals: carry-less
-field multiplication, plain-Python Gaussian elimination, a permutation
-based cycle enumerator and a plain recursive cycle walk, a direct
-xor-convolution, the butterfly Walsh-Hadamard transform and the
+field multiplication, plain-Python Gaussian elimination, the dense RREF
+and the systematic encoder built on it, the demapper's weights in one
+expression, a permutation based cycle enumerator and a plain recursive
+cycle walk, a direct xor-convolution, the butterfly Walsh-Hadamard transform and the
 padded-slot FFT-QSPA decoder, the dense circulant algebra (polynomials mod
 x^s - 1, their cofactor determinant and their block-by-block expansion),
 the ACE vector of flagged cycles, and a one-trial-at-a-time greedy
@@ -257,6 +258,60 @@ def plain_rank(field, matrix) -> int:
 
 def plain_nullity(field, matrix) -> int:
     return np.asarray(matrix).shape[1] - plain_rank(field, matrix)
+
+
+def reference_rref(field, a) -> tuple[np.ndarray, list[int]]:
+    """(R, pivot_cols): the reduced row-echelon form of a, by dense elimination.
+
+    Every row operation spans all columns; the pivot is the first nonzero
+    at or below the current row, and columns are never swapped.
+    """
+    r = np.array(a, dtype=np.int64, copy=True)
+    mul = field.mul_table
+    m, n = r.shape
+    pivot_cols: list[int] = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        pivot = row + nz[0]
+        if pivot != row:
+            r[[row, pivot]] = r[[pivot, row]]
+        r[row] = mul[field.inv(int(r[row, col])), r[row]]
+        others = np.nonzero(r[:, col])[0]
+        others = others[others != row]
+        if others.size:
+            r[others] ^= mul[r[others, col][:, None], r[row][None, :]]
+        pivot_cols.append(col)
+        row += 1
+    return r, pivot_cols
+
+
+def reference_encode(field, h, info: np.ndarray) -> np.ndarray:
+    """Systematic codewords from the RREF's parity map, one per row of info.
+
+    Pivot column r of the RREF carries the parity symbol that row r gives
+    as the sum of the information symbols times the row's entries.
+    """
+    r, pivots = reference_rref(field, h)
+    info_cols = np.setdiff1d(np.arange(r.shape[1]), pivots)
+    parity_map = r[: len(pivots)][:, info_cols]
+    out = np.zeros((len(info), r.shape[1]), dtype=np.int64)
+    out[:, info_cols] = info
+    for t, row in enumerate(parity_map):
+        out[:, pivots[t]] = np.bitwise_xor.reduce(field.mul_table[info, row], axis=1)
+    return out
+
+
+def reference_observation_weights(received, modulation, snr_db) -> np.ndarray:
+    """Max-normalized Gaussian weights of each constellation point, one expression."""
+    n0 = 10.0 ** (-snr_db / 10.0)
+    d2 = np.abs(received[..., None] - modulation.points) ** 2
+    d2 -= d2.min(axis=-1, keepdims=True)
+    return np.exp(-d2 / max(n0, _PROB_FLOOR))
 
 
 def brute_force_cycles(h: BaseMatrix, depth: int) -> set[Cycle]:

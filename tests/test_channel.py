@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import _wht, direct_xor_convolution, plain_rank, reference_decode_batch
+from helpers import (
+    _wht,
+    direct_xor_convolution,
+    plain_rank,
+    reference_decode_batch,
+    reference_encode,
+    reference_observation_weights,
+)
 from nbqc import channel
 from nbqc.alist_io import load_matrix_file
 from nbqc.base_graph import BaseMatrix, weight2_base
@@ -29,6 +36,7 @@ from nbqc.channel import (
 )
 from nbqc.gf import GF
 from nbqc.lifter import ConstructionConfig, Lifting, Monomial, greedy_lift
+from nbqc.linalg import gf_matmul
 
 F4 = GF(2)
 F16 = GF(4)
@@ -124,6 +132,55 @@ def test_encode_random_syndromes_zero():
 def test_encode_length_mismatch():
     with pytest.raises(ValueError):
         toy_code().encode(np.zeros(5, dtype=int))
+
+
+PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+@pytest.mark.parametrize("name", ["gf16_4x16_s12.alist", "gf64_8x66_s70.alist"])
+def test_encode_matches_rref_parity_map_on_perfbench_liftings(name):
+    lifting = load_matrix_file(PERFBENCH_INPUTS / name)
+    code = build_code(lifting)
+    info = np.random.default_rng(23).integers(0, code.field.q, size=(8, code.k))
+    words = code.encode(info)
+    assert np.array_equal(words, reference_encode(code.field, lifting.expand(), info))
+    assert not code.syndrome(words).any()
+
+
+def test_encode_matches_rref_parity_map_on_irregular_and_deficient_codes():
+    rng = np.random.default_rng(24)
+    cases = [(GF(p), random_irregular_h(rng, GF(p))) for p in (1, 2, 4, 6, 8) for _ in range(4)]
+    cases += [
+        (F4, np.array([[1, 2, 0], [0, 0, 0], [0, 1, 3]])),
+        # an all-zero row and column, and row 3 = 2 * row 0
+        (F16, np.array([[1, 5, 0, 7], [0, 0, 0, 0], [3, 15, 0, 9], [2, 10, 0, 14]])),
+    ]
+    deficient = 0
+    for field, h in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random H may be rank-deficient
+            code = CodeInstance(field, h)
+        deficient += code.rank < len(h)
+        info = rng.integers(0, field.q, size=(8, code.k))
+        assert np.array_equal(code.encode(info), reference_encode(field, h, info))
+        assert np.array_equal(code.encode(info[0]), reference_encode(field, h, info[:1])[0])
+    assert deficient >= 2
+
+
+def test_syndrome_equals_dense_product():
+    rng = np.random.default_rng(25)
+    for p in (1, 4, 8):
+        field = GF(p)
+        h = random_irregular_h(rng, field)
+        h[1] = 0  # an empty check
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = CodeInstance(field, h)
+        words = rng.integers(0, field.q, size=(6, code.n))
+        want = gf_matmul(field, h, words.T).T
+        assert np.array_equal(code.syndrome(words), want)
+        assert np.array_equal(code.syndrome(words[2]), want[2])
+        assert want.any() and not want[:, 1].any()
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +538,7 @@ def test_decoder_matches_padded_slot_reference_on_irregular_codes():
 
 def n192_priors(seed, frames, snr_db=1.5):
     """The perfbench N=192 GF(16) lifting and BPSK priors of random codewords."""
-    alist = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "gf16_4x16_s12.alist"
-    code = build_code(load_matrix_file(alist))
+    code = build_code(load_matrix_file(PERFBENCH_INPUTS / "gf16_4x16_s12.alist"))
     mod = make_modulation("bpsk")
     rng = np.random.default_rng(seed)
     words = code.encode(rng.integers(0, 16, size=(frames, code.k)))
@@ -614,6 +670,19 @@ def test_demapping_in_one_frame_chunks_is_exact(monkeypatch, p, name):
     assert np.array_equal(split, whole)
 
 
+@pytest.mark.parametrize("name", ["bpsk", "4qam", "16qam", "64qam", "256qam"])
+def test_observation_weights_are_bitwise_the_one_expression(name):
+    mod = make_modulation(name)
+    rng = np.random.default_rng(26)
+    # n0 is below the floor at 400 dB and 0.0 at 4000 dB, where the floor keeps 0/0 out
+    for snr_db in (-10.0, 0.0, 5.2, 18.0, 60.0, 400.0, 4000.0):
+        tx = mod.points[rng.integers(0, len(mod.points), size=(3, 40))]
+        sigma = noise_sigma(snr_db)
+        rx = tx + rng.normal(scale=sigma, size=tx.shape) + 1j * rng.normal(scale=sigma, size=tx.shape)
+        got = observation_weights(rx, mod, snr_db)
+        assert got.tobytes() == reference_observation_weights(rx, mod, snr_db).tobytes()
+
+
 def test_empty_checks_are_always_satisfied():
     word = np.array([1, 3, 1])  # (t, 3t, t) with t = 1, a codeword of TOY_H
     with warnings.catch_warnings():
@@ -677,6 +746,24 @@ def test_monte_carlo_early_stop_is_batch_size_independent():
     assert results[1].points[1].frames == 400
     for b in (7, 64, 400):
         assert results[b].to_text() == results[1].to_text()
+
+
+def test_monte_carlo_early_stop_sizes_batches_by_missing_errors(monkeypatch):
+    # one 400-frame batch would decode 400 frames and count 89 of them
+    cfg = SimConfig(modulation="bpsk", snr_db=(-8.0,), max_frames=400, max_errors=20, rng_seed=6)
+    want = run_monte_carlo(toy_code(), cfg, batch_size=1)
+    decoded = []
+    original = QspaDecoder.decode_batch
+
+    def counting(self, priors, max_iter):
+        decoded.append(len(priors))
+        return original(self, priors, max_iter)
+
+    monkeypatch.setattr(QspaDecoder, "decode_batch", counting)
+    got = run_monte_carlo(toy_code(), cfg, batch_size=400)
+    assert got == want and (got.points[0].frames, got.points[0].errors) == (89, 20)
+    # max_errors frames first, then the 16 missing errors at 4 errors in 20 frames
+    assert decoded == [20, 80]
 
 
 @pytest.mark.parametrize("batch_size", [0, -3])

@@ -417,6 +417,25 @@ def test_simulate_matches_direct_library_call(tmp_path, capsys):
     assert Path(out).read_text() == run_monte_carlo(code, cfg).to_text()
 
 
+# `nbqc simulate` on the acceptance-criterion-8 code: the 1.5 dB point stops
+# at its 20th error, the 3.0 dB point runs all its frames
+PINNED_SIMULATE = """\
+# snr_db frames errors bler ci95_low ci95_high avg_iterations
+1.5 147 20 1.360544e-01 8.983087e-02 2.008151e-01 9.605
+3 200 0 0.000000e+00 0.000000e+00 1.884533e-02 2.210
+"""
+
+
+def test_simulate_results_bytes_on_the_n192_lifting(tmp_path, capsys):
+    alist = INPUTS / "gf16_4x16_s12.alist"
+    cfg = sim_config(
+        tmp_path, snr_db=[1.5, 3.0], max_frames=200, max_errors=20, decoder_max_iterations=30, seed=11
+    )
+    out = tmp_path / "res.txt"
+    assert main(["simulate", str(alist), cfg, "--out", str(out)]) == 0
+    assert out.read_text() == PINNED_SIMULATE
+
+
 def test_simulate_rejects_base_matrix_input(tmp_path, capsys):
     base = write(tmp_path / "ex1.txt", EX1)
     cfg = sim_config(tmp_path)
