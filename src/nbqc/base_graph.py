@@ -162,24 +162,6 @@ class Cycle:
             edges.append((rows[t], cols[(t + 1) % k]))
         return cls(_canonical_edges(edges))
 
-    def check_against(self, h: BaseMatrix) -> None:
-        """Raise unless this is a well-formed cycle of h."""
-        n = self.length
-        if n < 4 or n % 2:
-            raise ValueError("cycle length must be even and at least 4")
-        if len(set(self.edges)) != n:
-            raise ValueError("cycle edges must be distinct")
-        if len(self.rows) != n // 2 or len(self.cols) != n // 2:
-            raise ValueError("cycle must visit length/2 distinct rows and columns")
-        for i, j in self.edges:
-            if not h.bits[i, j]:
-                raise ValueError(f"cycle uses zero position ({i}, {j})")
-        for t in range(n):
-            a, b = self.edges[t], self.edges[(t + 1) % n]
-            shared_row, shared_col = a[0] == b[0], a[1] == b[1]
-            if shared_row == shared_col:
-                raise ValueError("consecutive edges must share exactly a row or a column")
-
 
 def _canonical_edges(edges: list) -> tuple[tuple[int, int], ...]:
     start = edges.index(min(edges))
@@ -194,10 +176,15 @@ class CycleList(list):
     truncated = False
 
 
+MAX_DEPTH = 12  # bounds the k! candidate matchings per 2k-cycle in lifter._cycle_matchings
+
+
 def check_depth(depth: int) -> None:
-    """Reject a cycle depth that is odd or below the shortest cycle, 4."""
+    """Reject a cycle depth that is odd, below the shortest cycle 4, or above MAX_DEPTH."""
     if depth < 4 or depth % 2:
         raise ValueError("depth must be even and at least 4")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth above {MAX_DEPTH} is not supported")
 
 
 def _walk_cycles(h: BaseMatrix, j: int, depth: int, cap: int | None) -> CycleList:

@@ -27,7 +27,7 @@ from .base_graph import (
     girth,
     inf_or_int,
 )
-from .channel import CodeInstance, SimConfig, run_monte_carlo
+from .channel import CodeInstance, SimConfig, build_code, run_monte_carlo
 from .lifter import (
     ConstructionConfig,
     Lifting,
@@ -147,24 +147,18 @@ def cmd_analyze(args) -> int:
 # simulate
 # ----------------------------------------------------------------------
 def _load_sim_config(path) -> SimConfig:
-    """The JSON config as a SimConfig, which checks the values."""
+    """The JSON config as a SimConfig, which checks the values; `seed` is rng_seed."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("simulation config must be a JSON object")
-    known = {
-        "modulation",
-        "snr_db",
-        "max_frames",
-        "max_errors",
-        "decoder_max_iterations",
-        "seed",
-    }
-    unknown = set(data) - known
+    keys = {f.name: f for f in dataclasses.fields(SimConfig)}
+    keys["seed"] = keys.pop("rng_seed")
+    unknown = set(data) - set(keys)
     if unknown:
         raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
-    for key in ("modulation", "snr_db", "max_frames"):
-        if key not in data:
+    for key, f in keys.items():
+        if f.default is dataclasses.MISSING and key not in data:
             raise ValueError(f"simulation config lacks required key '{key}'")
     if "seed" in data:
         data["rng_seed"] = data.pop("seed")
@@ -173,14 +167,10 @@ def _load_sim_config(path) -> SimConfig:
 
 def cmd_simulate(args) -> int:
     obj = load_matrix_file(args.matrix)
-    if isinstance(obj, Lifting):
-        field, h = obj.field, obj.expand()
-    elif isinstance(obj, BaseMatrix):
+    if isinstance(obj, BaseMatrix):
         raise ValueError("simulate needs a lifted matrix file, not a binary base matrix")
-    else:
-        field, h = obj
     cfg = _load_sim_config(args.config)
-    code = CodeInstance(field, h)
+    code = build_code(obj) if isinstance(obj, Lifting) else CodeInstance(*obj)
     result = run_monte_carlo(code, cfg)
 
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -220,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="lift a binary base matrix")
     c.add_argument("base", help="base matrix text file ('m n' header then 0/1 rows)")
     c.add_argument("--s", type=int, required=True, help="circulant size")
-    c.add_argument("--q", type=int, required=True, help="field order (power of 2)")
-    c.add_argument("--depth", type=int, help="maximal cycle length (even)")
+    c.add_argument("--q", type=int, required=True, help="field order: a power of 2, 2 to 256")
+    c.add_argument("--depth", type=int, help="maximal cycle length: even, 4 to 12")
     c.add_argument("--trials", type=int, help="redraws per edge")
     c.add_argument("--seed", type=int, help="RNG seed (printed if defaulted)")
     c.add_argument("--cycle-cap", type=int, dest="cycle_cap")
@@ -230,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="report code parameters of a matrix file")
     a.add_argument("matrix", help="base matrix text or nbalist file")
-    a.add_argument("--depth", type=int, default=8, help="cycle spectrum depth")
+    a.add_argument("--depth", type=int, default=8, help="cycle spectrum depth: even, 4 to 12")
     a.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("simulate", help="Monte-Carlo frame-error simulation")

@@ -92,10 +92,6 @@ class GF:
     # ------------------------------------------------------------------
     # element-wise arithmetic
     # ------------------------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        """Characteristic-2 sum: xor of the polynomial representations."""
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Product in GF(2^p); zero if either operand is zero."""
         if a == 0 or b == 0:
@@ -107,18 +103,6 @@ class GF:
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
         return self.exp_table[(self.q - 1) - self.log_table[a]]
-
-    def pow(self, a: int, n: int) -> int:
-        """a raised to a non-negative integer power."""
-        if a == 0:
-            return 0 if n else 1
-        return self.exp_table[(self.log_table[a] * n) % (self.q - 1)]
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
 
     # ------------------------------------------------------------------
     # vectorized support

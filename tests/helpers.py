@@ -81,10 +81,7 @@ class RingPoly:
 
     def __add__(self, other: "RingPoly") -> "RingPoly":
         self._check_compatible(other)
-        add = self.field.add
-        return RingPoly(
-            self.field, tuple(add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return RingPoly(self.field, tuple(a ^ b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "RingPoly") -> "RingPoly":
         self._check_compatible(other)
@@ -99,7 +96,7 @@ class RingPoly:
                 k = i + j
                 if k >= s:
                     k -= s
-                out[k] = field.add(out[k], field.mul(a, b))
+                out[k] ^= field.mul(a, b)
         return RingPoly(field, tuple(out))
 
     def expand(self) -> np.ndarray:
@@ -248,10 +245,7 @@ def plain_rank(field, matrix) -> int:
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 factor = rows[r][col]
-                rows[r] = [
-                    field.add(v, field.mul(factor, w))
-                    for v, w in zip(rows[r], rows[rank])
-                ]
+                rows[r] = [v ^ field.mul(factor, w) for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 

@@ -52,8 +52,8 @@ def test_criterion_1_distance_bounds():
 
 
 def test_criterion_2_rate_arithmetic():
-    r1 = rate_lower_bound((4, 33))
-    r2 = rate_lower_bound((8, 66))
+    r1 = rate_lower_bound(weight2_base(4, 33))
+    r2 = rate_lower_bound(weight2_base(8, 66))
     ok = (
         r1 == r2 == Fraction(29, 33)
         and 33 * 140 == 4620

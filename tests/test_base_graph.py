@@ -110,7 +110,12 @@ def test_two_by_two_all_ones_single_cycle():
     c = cycles[0]
     assert c.length == 4
     assert c.rows == {0, 1} and c.cols == {0, 1}
-    c.check_against(h)
+
+
+@pytest.mark.parametrize("depth", [2, 5, 14])
+def test_all_cycles_checks_depth(depth):
+    with pytest.raises(ValueError, match="^depth "):
+        all_cycles(BaseMatrix([[1, 1], [1, 1]]), depth)
 
 
 def test_canonical_form_same_from_every_column():
@@ -273,6 +278,8 @@ def test_ace_vector_validation():
         AceVector(7, (1, 2))
     with pytest.raises(ValueError):
         AceVector(6, (-1, 2))
+    with pytest.raises(ValueError, match="^depth above 12 is not supported$"):
+        AceVector(14, (0,) * 6)
 
 
 finite_or_inf = st.one_of(st.integers(0, 30), st.just(math.inf))

@@ -113,7 +113,7 @@ def test_encode_linearity_and_zero():
         for b in range(4):
             ca = code.encode(np.array([a]))
             cb = code.encode(np.array([b]))
-            cab = code.encode(np.array([F4.add(a, b)]))
+            cab = code.encode(np.array([a ^ b]))
             assert np.array_equal(ca ^ cb, cab)
 
 

@@ -103,6 +103,16 @@ def test_construct_rejects_bad_parameters(tmp_path, capsys, extra):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_rejects_unsupported_field_size_before_writing(tmp_path, capsys):
+    base = write(tmp_path / "ex1.txt", EX1)
+    out = tmp_path / "x.alist"
+    assert main(["construct", base, "--s", "3", "--q", "512", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q must be a power of 2 from 2 to 256, got 512\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.txt"]
+
+
 def test_construct_rejects_negative_seed(tmp_path, capsys):
     base = write(tmp_path / "ex1.txt", EX1)
     out = str(tmp_path / "x.alist")
@@ -181,6 +191,19 @@ def test_analyze_full_nbalist_checks_depth(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: depth must be even and at least 4\n"
+
+
+@pytest.mark.parametrize("name", ["base_8x66.txt", "gf64_8x66_s70.alist", "full"])
+def test_analyze_rejects_depth_above_limit_before_loading(name, tmp_path, capsys):
+    if name == "full":
+        lifting = load_matrix_file(INPUTS / "gf16_4x16_s12.alist")
+        path = write(tmp_path / "full.alist", serialize_full(lifting.field, lifting.expand()))
+    else:
+        path = str(INPUTS / name)
+    assert main(["analyze", path, "--depth", "14"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth above 12 is not supported\n"
 
 
 # `nbqc analyze --depth 8` stdout, byte for byte, per perfbench input
@@ -461,6 +484,41 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
         json.dumps({"modulation": "bpsk", "snr_db": [1], "max_frames": 5, "bogus": 1}),
     )
     assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 1
+
+
+# stderr for key errors, byte for byte; "seed" is the only spelling of the seed
+@pytest.mark.parametrize(
+    "config,err",
+    [
+        (
+            {"modulation": "bpsk", "snr_db": [1], "max_frames": 5, "bogus": 1, "alpha": 2},
+            "error: unknown simulation config keys: ['alpha', 'bogus']\n",
+        ),
+        (
+            {"modulation": "bpsk", "snr_db": [1], "max_frames": 5, "rng_seed": 3},
+            "error: unknown simulation config keys: ['rng_seed']\n",
+        ),
+        (
+            {"max_frames": 5, "bogus": 1},
+            "error: unknown simulation config keys: ['bogus']\n",
+        ),
+        ({"snr_db": [1]}, "error: simulation config lacks required key 'modulation'\n"),
+        (
+            {"modulation": "bpsk", "max_frames": 5, "seed": 1},
+            "error: simulation config lacks required key 'snr_db'\n",
+        ),
+        (
+            {"modulation": "bpsk", "snr_db": [1]},
+            "error: simulation config lacks required key 'max_frames'\n",
+        ),
+    ],
+)
+def test_simulate_config_key_errors_are_pinned(tmp_path, capsys, config, err):
+    cfg = write(tmp_path / "bad.json", json.dumps(config))
+    alist = str(INPUTS / "gf16_4x16_s12.alist")
+    assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 1
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "r.txt").exists()
 
 
 @pytest.mark.parametrize(

@@ -8,24 +8,15 @@ from nbqc.gf import DEFAULT_PRIMITIVE_POLY, GF
 
 def test_gf4_spot_values():
     f = GF(2)
-    assert f.add(2, 3) == 1
     assert f.mul(2, 3) == 1  # alpha * alpha^2 = alpha^3 = 1
     assert f.mul(2, 2) == 3
     assert f.inv(2) == 3
     assert f.inv(1) == 1
 
 
-def test_add_is_xor_and_self_inverse():
-    f = GF(4)
-    for a in f.elements():
-        assert f.add(a, a) == 0
-        assert f.add(a, 0) == a
-        assert f.add(a, 5) == a ^ 5
-
-
 def test_identity_and_absorbing():
     f = GF(4)
-    for a in f.elements():
+    for a in range(f.q):
         assert f.mul(a, 1) == a
         assert f.mul(a, 0) == 0
 
@@ -33,7 +24,7 @@ def test_identity_and_absorbing():
 @pytest.mark.parametrize("p", [2, 3, 4, 6, 8])
 def test_inverse_exhaustive(p):
     f = GF(p)
-    for a in f.nonzero_elements():
+    for a in range(1, f.q):
         assert f.mul(a, f.inv(a)) == 1
 
 
@@ -46,8 +37,8 @@ def test_inv_of_zero_rejected():
 def test_mul_matches_carryless_oracle_all_pairs(p):
     f = GF(p)
     poly = DEFAULT_PRIMITIVE_POLY[p]
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.q):
+        for b in range(f.q):
             assert f.mul(a, b) == clmul_reduce(a, b, poly, p)
 
 
@@ -69,19 +60,10 @@ def test_field_axioms_exhaustive(p):
 
 def test_exp_log_tables_consistent():
     f = GF(6)
-    for a in f.nonzero_elements():
+    for a in range(1, f.q):
         assert f.exp_table[f.log_table[a]] == a
     for i in range(f.q - 1):
         assert f.exp_table[i + f.q - 1] == f.exp_table[i]
-
-
-def test_pow():
-    f = GF(4)
-    assert f.pow(2, 0) == 1
-    assert f.pow(2, 1) == 2
-    assert f.pow(2, 15) == 1
-    assert f.pow(0, 3) == 0
-    assert f.pow(0, 0) == 1
 
 
 def test_non_primitive_polynomials_rejected():
@@ -98,7 +80,7 @@ def test_non_primitive_polynomials_rejected():
 def test_custom_primitive_polynomial_accepted():
     # x^4 + x^3 + 1 is the reciprocal primitive polynomial for p=4
     f = GF(4, primitive_poly=0b11001)
-    for a in f.nonzero_elements():
+    for a in range(1, f.q):
         assert f.mul(a, f.inv(a)) == 1
 
 

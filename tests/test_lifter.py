@@ -16,7 +16,7 @@ from helpers import (
     reference_greedy_lift,
 )
 from nbqc.alist_io import serialize_qc
-from nbqc.base_graph import BaseMatrix, all_cycles, girth
+from nbqc.base_graph import BaseMatrix, all_cycles, girth, weight2_base
 from nbqc.gf import GF
 from nbqc.lifter import (
     ConstructionConfig,
@@ -157,16 +157,14 @@ def test_unassigned_edge_raises():
 # lifting plumbing
 # ----------------------------------------------------------------------
 def test_lifting_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cover exactly"):
         Lifting(ALL2, 3, F4, {(0, 0): Monomial(1, 0)})
-    with pytest.raises(ValueError):
-        Lifting(
-            ALL2, 3, F4, {pos: Monomial(1, 5) for pos in ALL2.ones()}
-        )  # shift >= s
-    with pytest.raises(ValueError):
-        Lifting(
-            ALL2, 3, F4, {pos: Monomial(9, 0) for pos in ALL2.ones()}
-        )  # beta >= q
+    bad = [(1, 5, "shift"), (1, -1, "shift"), (9, 0, "coefficient"), (0, 0, "coefficient")]
+    for beta, shift, what in bad:
+        assignment = {pos: Monomial(1, 0) for pos in ALL2.ones()}
+        assignment[(1, 0)] = Monomial(beta, shift)
+        with pytest.raises(ValueError, match=rf"^{what} out of range at \(1, 0\)$"):
+            Lifting(ALL2, 3, F4, assignment)
 
 
 def test_trivial_expansion_is_identity_blocks():
@@ -184,7 +182,7 @@ def test_expansion_matches_dense_circulant_oracle(q):
             h = random_base_matrix(rng, int(rng.integers(1, 5)), int(rng.integers(1, 7)))
             lifting = random_lifting(rng, h, s, field)
             expanded = lifting.expand()
-            assert expanded.dtype == np.int64
+            assert expanded.dtype == field.mul_table.dtype
             assert np.array_equal(expanded, poly_matrix(lifting).expand())
 
 
@@ -374,8 +372,10 @@ def test_config_validation():
         ConstructionConfig(s=4, q=6)
     with pytest.raises(ValueError):
         ConstructionConfig(s=4, q=4, depth=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^depth above 12 is not supported$"):
         ConstructionConfig(s=4, q=4, depth=14)
+    with pytest.raises(ValueError, match="^q must be a power of 2 from 2 to 256, got 512$"):
+        ConstructionConfig(s=4, q=512)
     with pytest.raises(ValueError):
         ConstructionConfig(s=4, q=4, trials_per_edge=0)
     with pytest.raises(ValueError, match="rng_seed"):
@@ -415,9 +415,8 @@ def test_greedy_rejects_empty_base():
 # bounds
 # ----------------------------------------------------------------------
 def test_rate_lower_bound_values():
-    assert rate_lower_bound((2, 3)) == Fraction(1, 3)
-    assert rate_lower_bound((4, 33)) == Fraction(29, 33)
-    assert rate_lower_bound((8, 66)) == Fraction(29, 33)
+    assert rate_lower_bound(weight2_base(4, 33)) == Fraction(29, 33)
+    assert rate_lower_bound(weight2_base(8, 66)) == Fraction(29, 33)
     assert rate_lower_bound(EX_BASE) == Fraction(1, 3)
 
 
@@ -425,11 +424,6 @@ def test_distance_upper_bound_values():
     assert distance_upper_bound(2, 4) == 40
     assert distance_upper_bound(2, 8) == 1152
     assert distance_upper_bound(1, 1) == 2
-
-
-def test_distance_upper_bound_fractional_weight():
-    got = distance_upper_bound(2.5, 4)
-    assert got == pytest.approx(math.factorial(2) * 2.5**2 * 5)
 
 
 def test_distance_upper_bound_rejects_bad_inputs():

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from helpers import PolyMatrix, RingPoly
 from nbqc.gf import GF
 from nbqc.linalg import gf_matmul
-from nbqc.lifter import Monomial
 
 F4 = GF(2)
 F16 = GF(4)
@@ -66,14 +65,6 @@ def test_ring_axioms_random(seed, s, field):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-
-
-# ----------------------------------------------------------------------
-# monomials
-# ----------------------------------------------------------------------
-def test_mono_zero_beta_rejected():
-    with pytest.raises(ValueError):
-        Monomial(0, 1)
 
 
 # ----------------------------------------------------------------------
