@@ -3,7 +3,8 @@
 The Tanner graph of an m x n binary matrix H has one variable node per
 column and one check node per row, with an edge wherever an entry is 1.
 A cycle of length 2k alternates between k distinct rows and k distinct
-columns; we store it as the closed sequence of its (row, col) positions.
+columns; we store it as its oriented walk, the k columns in visiting
+order and the k rows that join each column to the next.
 
 The ACE value of a cycle counts the edges leaving its variable nodes to
 checks outside the cycle, i.e. the sum of (column degree - 2) over the
@@ -16,9 +17,9 @@ compared lexicographically and bigger is better.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -127,47 +128,32 @@ def weight2_base(m: int, n: int) -> BaseMatrix:
     return BaseMatrix(bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cycle:
-    """Closed alternating (row, col) walk in canonical orientation.
+    """A cycle as its oriented walk: row rows[t] joins cols[t] to cols[t + 1].
 
-    Canonical form: rotated so the smallest (row, col) edge comes first,
-    then the lexicographically smaller of the two directions.  Two Cycle
-    objects are equal iff they describe the same cycle.
+    The walk starts at the smallest column and runs in the direction whose
+    first row is the smaller, so two Cycle objects are equal iff they
+    describe the same cycle.
     """
 
-    edges: tuple[tuple[int, int], ...]
+    cols: tuple[int, ...]
+    rows: tuple[int, ...]
 
     @property
     def length(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def rows(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.edges)
-
-    @cached_property
-    def cols(self) -> frozenset[int]:
-        return frozenset(j for _, j in self.edges)
+        return 2 * len(self.cols)
 
     @classmethod
     def from_walk(cls, cols: list[int], rows: list[int]) -> "Cycle":
-        """Build from the column/row visit sequence: row t joins col t to col t+1."""
-        k = len(cols)
-        if k != len(rows) or k < 2:
+        """Orient a closed walk given by its column and row visit sequences."""
+        if len(cols) != len(rows) or len(cols) < 2:
             raise ValueError("walk needs k >= 2 columns and as many rows")
-        edges = []
-        for t in range(k):
-            edges.append((rows[t], cols[t]))
-            edges.append((rows[t], cols[(t + 1) % k]))
-        return cls(_canonical_edges(edges))
-
-
-def _canonical_edges(edges: list) -> tuple[tuple[int, int], ...]:
-    start = edges.index(min(edges))
-    fwd = tuple(edges[start:] + edges[:start])
-    bwd = tuple(edges[start::-1] + edges[:start:-1])
-    return min(fwd, bwd)
+        start = cols.index(min(cols))
+        cols, rows = (*cols[start:], *cols[:start]), (*rows[start:], *rows[:start])
+        if rows[0] > rows[-1]:
+            cols, rows = cols[:1] + cols[:0:-1], rows[::-1]
+        return cls(cols, rows)
 
 
 class CycleList(list):
@@ -176,15 +162,18 @@ class CycleList(list):
     truncated = False
 
 
-MAX_DEPTH = 12  # bounds the k! candidate matchings per 2k-cycle in lifter._cycle_matchings
+MAX_DEPTH = 12  # the paper's 8x66 base has 332,458 cycles up to length 12, 276,720 of length 12
 
 
-def check_depth(depth: int) -> None:
-    """Reject a cycle depth that is odd, below the shortest cycle 4, or above MAX_DEPTH."""
+def check_depth(depth) -> int:
+    """`depth` as an int; a ValueError unless it is an even integer from 4 to MAX_DEPTH."""
+    if not isinstance(depth, numbers.Integral) or isinstance(depth, bool):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     if depth < 4 or depth % 2:
         raise ValueError("depth must be even and at least 4")
     if depth > MAX_DEPTH:
         raise ValueError(f"depth above {MAX_DEPTH} is not supported")
+    return int(depth)
 
 
 def _walk_cycles(h: BaseMatrix, j: int, depth: int, cap: int | None) -> CycleList:
@@ -215,7 +204,8 @@ def _walk_cycles(h: BaseMatrix, j: int, depth: int, cap: int | None) -> CycleLis
                 )
             return
         per_length[length] = count + 1
-        found.append(Cycle.from_walk(cols_path, rows_path + [close_row]))
+        # the walk starts at its smallest column, first row below the last
+        found.append(Cycle(tuple(cols_path), (*rows_path, close_row)))
 
     def dfs() -> None:
         current = cols_path[-1]

@@ -107,16 +107,16 @@ def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None
     print(f"base girth: {inf_or_int(girth(base))}")
 
     if lifting is not None:
-        eliminated = dict(zip(cycles, cycles_eliminated(lifting, cycles)))
+        eliminated = cycles_eliminated(lifting, cycles)
     for length in range(4, depth + 1, 2):
-        of_len = [c for c in cycles if c.length == length]
+        of_len = [t for t, c in enumerate(cycles) if c.length == length]
         if not of_len:
             print(f"length {length}: no cycles")
             continue
-        aces = [cycle_ace(base, c) for c in of_len]
+        aces = [cycle_ace(base, cycles[t]) for t in of_len]
         line = f"length {length}: {len(of_len)} cycles, min ACE {min(aces)}"
         if lifting is not None:
-            surviving = [cycle_ace(base, c) for c in of_len if not eliminated[c]]
+            surviving = [ace for t, ace in zip(of_len, aces) if not eliminated[t]]
             if surviving:
                 line += f"; {len(surviving)} surviving, min ACE {min(surviving)}"
             else:

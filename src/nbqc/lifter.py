@@ -53,7 +53,6 @@ exactly.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field as dc_field
@@ -73,7 +72,7 @@ from .base_graph import (
 )
 from .gf import DEFAULT_PRIMITIVE_POLY, GF
 
-_LOOKUP_CHUNK = 1 << 16  # bounds the (cycles, k!, k) index array of one numpy lookup
+_MATCH_CHUNK = 1 << 12  # cycles per step of the matching search: bounds its arrays
 
 
 def check_int(name: str, value, low: int) -> int:
@@ -95,7 +94,7 @@ class ConstructionConfig:
     cycle_cap: int | None = 100_000
 
     def __post_init__(self) -> None:
-        lows = {"s": 2, "q": 2, "depth": 4, "trials_per_edge": 1, "rng_seed": 0}
+        lows = {"s": 2, "q": 2, "trials_per_edge": 1, "rng_seed": 0}
         if self.cycle_cap is not None:
             lows["cycle_cap"] = 1
         for name, low in lows.items():
@@ -105,7 +104,7 @@ class ConstructionConfig:
             raise ValueError(
                 f"q must be a power of 2 from {min(orders)} to {max(orders)}, got {self.q}"
             )
-        check_depth(self.depth)
+        object.__setattr__(self, "depth", check_depth(self.depth))
 
     def make_field(self) -> GF:
         return GF(self.q.bit_length() - 1)
@@ -219,13 +218,6 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _permutations(k: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
-    perms.setflags(write=False)
-    return perms
-
-
-@functools.cache
 def _log_exp(field: GF) -> tuple[np.ndarray, np.ndarray]:
     """Discrete logs (mod q - 1) and the powers of the primitive element."""
     order = field.q - 1
@@ -251,29 +243,35 @@ def _cycle_matchings(base: BaseMatrix, cycles: list[Cycle]) -> tuple[np.ndarray,
     of cycles[owner[t]], as indices into base.ones().  Matchings of shorter
     cycles are padded with the index len(base.ones()), an edge that the
     per-edge arrays hold at beta = 1, shift 0.
+
+    Partial matchings grow one row of the walk at a time, through each
+    still free column the row meets; every perfect matching is one such
+    sequence of choices, so each is found once.
     """
     edge_index = _edge_index(base)
     pad = int(base.bits.sum())
-    width = max((c.length // 2 for c in cycles), default=0)
-    by_half: dict[int, list[int]] = {}
-    for t, c in enumerate(cycles):
-        by_half.setdefault(c.length // 2, []).append(t)
+    half = np.array([len(c.cols) for c in cycles], dtype=np.intp)
+    width = int(half.max(initial=0))
     owners = [np.zeros(0, dtype=np.intp)]
     found = [np.zeros((0, width), dtype=np.intp)]
-    for k, ids in by_half.items():
-        # alternate edges of a cycle are a matching: they list its rows and cols
-        walk = np.array([cycles[t].edges[::2] for t in ids], dtype=np.intp)
-        ids_arr = np.array(ids, dtype=np.intp)
-        perms = _permutations(k)
-        step = max(1, _LOOKUP_CHUNK // (len(perms) * k))
-        for lo in range(0, len(ids), step):
-            rows = walk[lo : lo + step, None, :, 0]
-            cols = walk[lo : lo + step, :, 1][:, perms]
-            sub = edge_index[rows, cols]  # (cycles, k!, k) edge indices, -1 off the base
-            which, perm = np.nonzero((sub >= 0).all(axis=2))
-            block = np.full((which.size, width), pad, dtype=np.intp)
-            block[:, :k] = sub[which, perm]
-            owners.append(ids_arr[lo + which])
+    for k in np.unique(half).tolist():
+        ids = np.flatnonzero(half == k)
+        rows = np.array([cycles[t].rows for t in ids], dtype=np.intp)
+        cols = np.array([cycles[t].cols for t in ids], dtype=np.intp)
+        bit = 1 << np.arange(k)
+        for lo in range(0, len(ids), _MATCH_CHUNK):
+            chunk = slice(lo, lo + _MATCH_CHUNK)
+            # sub[c, t, p]: the edge joining row t to column p of cycle c, -1 if none
+            sub = edge_index[rows[chunk, :, None], cols[chunk, None, :]]
+            owner = np.arange(len(sub))
+            used = np.zeros(len(sub), dtype=np.intp)  # bit p: column p is matched
+            block = np.full((len(sub), width), pad, dtype=np.intp)
+            for t in range(k):
+                step = sub[owner, t]
+                which, p = np.nonzero((step >= 0) & (used[:, None] & bit == 0))
+                owner, used, block = owner[which], used[which] | bit[p], block[which]
+                block[:, t] = step[which, p]
+            owners.append(ids[lo + owner])
             found.append(block)
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")

@@ -3,8 +3,9 @@
 Deliberately written without reusing the library's internals: carry-less
 field multiplication, plain-Python Gaussian elimination, the dense RREF
 and the systematic encoder built on it, the demapper's weights in one
-expression, a permutation based cycle enumerator and a plain recursive
-cycle walk, a direct xor-convolution, the butterfly Walsh-Hadamard transform and the
+expression, a permutation based cycle enumerator, a plain recursive
+cycle walk and a permutation based search for a cycle's matchings, a
+direct xor-convolution, the butterfly Walsh-Hadamard transform and the
 padded-slot FFT-QSPA decoder, the dense circulant algebra (polynomials mod
 x^s - 1, their cofactor determinant and their block-by-block expansion),
 the ACE vector of flagged cycles, and a one-trial-at-a-time greedy
@@ -359,6 +360,18 @@ def cycles_through(h: BaseMatrix, j: int, depth: int) -> list[Cycle]:
     return found
 
 
+def reference_cycle_matchings(h: BaseMatrix, cycle: Cycle) -> set[frozenset[tuple[int, int]]]:
+    """Perfect matchings of the cycle's rows x cols submatrix, by trying every column order.
+
+    Each matching is the set of its (row, col) base positions.
+    """
+    return {
+        frozenset(zip(cycle.rows, perm))
+        for perm in permutations(cycle.cols)
+        if all(h.bits[i, j] for i, j in zip(cycle.rows, perm))
+    }
+
+
 def direct_xor_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """O(q^2) convolution over the additive group of GF(2^p)."""
     q = a.size
@@ -528,7 +541,7 @@ def reference_greedy_lift(h: BaseMatrix, cfg) -> tuple[Lifting, ConstructionRepo
     """
     field = cfg.make_field()
     lifting = Lifting.trivial(h, cfg.s, field)
-    cycles = sorted(brute_force_cycles(h, cfg.depth), key=lambda c: c.edges)
+    cycles = sorted(brute_force_cycles(h, cfg.depth), key=lambda c: (c.cols, c.rows))
 
     def eliminated(c: Cycle) -> bool:
         return not cycle_submatrix(lifting, c).determinant().is_zero()

@@ -10,24 +10,27 @@ stricter config check could reject them unnoticed.
 import importlib.util
 import inspect
 import sys
+from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from nbqc.channel import run_monte_carlo
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def _load(name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # job_targets patches the module itself
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-WORKLOADS = _load_workloads()
+WORKLOADS = _load("perfbench_workloads", "workloads.py").WORKLOADS
+Tracer = _load("perfbench_tracing", "tracing.py").Tracer
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -54,6 +57,22 @@ def test_construct_workload_job_matches_recorded_seed(tmp_path):
             recorded[key]["alist_sha256"],
             recorded[key]["report_sha256"],
         )
+
+
+def test_traced_construct_job_reads_its_cycles(tmp_path):
+    # only a traced run reads the cycles' rows, cols and lengths
+    workload = WORKLOADS["construct_paper_d8"]()
+    bases = workload.setup()
+    tracer, record = Tracer(), {}
+    with tracer.patched(workload.job_targets(record)), tracer.span("bench.job"):
+        outputs = workload.job(bases, 0, tmp_path)
+    sweep = defaultdict(lambda: [0, 0.0])
+    failures = workload.check(bases, 0, outputs, sweep)
+    assert failures == [[], []]
+    job = SimpleNamespace(tracer=tracer, record=record, outputs=outputs)
+    metrics = workload.per_layer(bases, job, Tracer(), sweep)
+    assert metrics["base_graph.cycles"] == 10794
+    assert [metrics[f"base_graph.cycles.len{n}"] for n in (4, 6, 8)] == [123, 1416, 9255]
 
 
 def test_only_the_n4620_batch_is_split_into_decoder_chunks():

@@ -39,29 +39,39 @@ def test_construct_round_trips(tmp_path, capsys):
     assert report["expanded_girth"] == "inf"
 
 
-def test_construct_criterion_8_code_is_byte_identical(tmp_path, capsys):
-    # digests of the files the one-trial-at-a-time construction wrote for
-    # the acceptance-criterion-8 code: 4x16/s=12, GF(16), depth 8, 100 trials
-    base = write(tmp_path / "b416.txt", make_weight2_base(4, 16))
-    out = str(tmp_path / "b416.alist")
-    rc = main(
-        [
-            "construct", base,
-            "--s", "12", "--q", "16", "--depth", "8",
-            "--trials", "100", "--seed", "11", "--out", out,
-        ]
-    )
-    assert rc == 0
+# digests of the files the one-trial-at-a-time construction wrote for the
+# acceptance-criterion-8 code, and of the files the permutation-search
+# matchings gave for the paper's 8x66 base at depth 10
+CONSTRUCT_DIGESTS = [
+    pytest.param(
+        None,
+        ["--s", "12", "--q", "16", "--depth", "8", "--trials", "100", "--seed", "11"],
+        "20bfa1cf5297ccd8ac0f98e7267009961bc4de4dc87319142e339107dfeab862",
+        "b030df8e174a9639338728db40989f74f6517bcd233001945a0e92eccaa750ce",
+        id="criterion_8_4x16_s12_q16_d8",
+    ),
+    pytest.param(
+        "base_8x66.txt",
+        ["--s", "70", "--q", "64", "--depth", "10", "--trials", "10", "--seed", "1"],
+        "a9dc5f5e78e5b39d3e20047d2e65fa19ed5e4a99beded1d964834ad547d4c12d",
+        "e389e8e06ccac1eecd420683a05326a251f6dce478a2d4953d862d45a59918ea",
+        id="8x66_s70_q64_d10",
+    ),
+]
 
-    def sha256(path):
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
 
-    assert sha256(out) == "20bfa1cf5297ccd8ac0f98e7267009961bc4de4dc87319142e339107dfeab862"
-    assert (
-        sha256(out + ".report.json")
-        == "b030df8e174a9639338728db40989f74f6517bcd233001945a0e92eccaa750ce"
-    )
+@pytest.mark.parametrize("name,flags,alist_sha,report_sha", CONSTRUCT_DIGESTS)
+def test_construct_code_is_byte_identical(
+    name, flags, alist_sha, report_sha, tmp_path, capsys
+):
+    if name is None:
+        base = write(tmp_path / "b416.txt", make_weight2_base(4, 16))
+    else:
+        base = str(INPUTS / name)
+    out = tmp_path / "out.alist"
+    assert main(["construct", base, *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == alist_sha
+    assert hashlib.sha256(Path(f"{out}.report.json").read_bytes()).hexdigest() == report_sha
 
 
 def test_construct_prints_defaulted_seed(tmp_path, capsys):
@@ -193,6 +203,18 @@ def test_analyze_full_nbalist_checks_depth(tmp_path, capsys):
     assert captured.err == "error: depth must be even and at least 4\n"
 
 
+@pytest.mark.parametrize("depth", ["2", "3"])
+def test_construct_and_analyze_reject_a_low_depth_alike(depth, tmp_path, capsys):
+    base = write(tmp_path / "ex1.txt", EX1)
+    out = str(tmp_path / "x.alist")
+    assert main(["construct", base, "--s", "3", "--q", "4", "--depth", depth, "--out", out]) == 1
+    construct = capsys.readouterr()
+    assert main(["analyze", base, "--depth", depth]) == 1
+    analyze = capsys.readouterr()
+    assert construct.out == analyze.out == ""
+    assert construct.err == analyze.err == "error: depth must be even and at least 4\n"
+
+
 @pytest.mark.parametrize("name", ["base_8x66.txt", "gf64_8x66_s70.alist", "full"])
 def test_analyze_rejects_depth_above_limit_before_loading(name, tmp_path, capsys):
     if name == "full":
@@ -268,10 +290,34 @@ ANALYZE_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ANALYZE_STDOUT))
-def test_analyze_stdout_is_byte_identical(name, capsys):
-    assert main(["analyze", str(INPUTS / name), "--depth", "8"]) == 0
-    assert capsys.readouterr().out == ANALYZE_STDOUT[name]
+# `nbqc analyze --depth 10` stdout of the perfbench lifting
+ANALYZE_STDOUT_DEPTH_10 = (
+    "base matrix: 8 x 66\n"
+    "rate lower bound: 29/33 (0.8788)\n"
+    "column weights: 2x66\n"
+    "distance upper bound: 1152\n"
+    "base girth: 4\n"
+    "length 4: 48 cycles, min ACE 0; all eliminated (e = inf)\n"
+    "length 6: 751 cycles, min ACE 0; all eliminated (e = inf)\n"
+    "length 8: 6555 cycles, min ACE 0; all eliminated (e = inf)\n"
+    "length 10: 48384 cycles, min ACE 0; 6 surviving, min ACE 0\n"
+    "circulant size: 70, field order: 64\n"
+    "expanded girth: 4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name,depth,want",
+    [pytest.param(name, 8, want, id=name) for name, want in sorted(ANALYZE_STDOUT.items())]
+    + [
+        pytest.param(
+            "gf64_8x66_s70.alist", 10, ANALYZE_STDOUT_DEPTH_10, id="gf64_8x66_s70.alist-10"
+        )
+    ],
+)
+def test_analyze_stdout_is_byte_identical(name, depth, want, capsys):
+    assert main(["analyze", str(INPUTS / name), "--depth", str(depth)]) == 0
+    assert capsys.readouterr().out == want
 
 
 # a base with an all-zero row and an all-zero column, and its trivial

@@ -13,11 +13,13 @@ from helpers import (
     poly_matrix,
     random_base_matrix,
     random_weighted_base,
+    reference_cycle_matchings,
     reference_greedy_lift,
 )
 from nbqc.alist_io import serialize_qc
 from nbqc.base_graph import BaseMatrix, all_cycles, girth, weight2_base
 from nbqc.gf import GF
+from nbqc import lifter
 from nbqc.lifter import (
     ConstructionConfig,
     Lifting,
@@ -143,6 +145,38 @@ def test_batch_elimination_matches_single_cycle_tests():
         assert got.tolist() == [
             not cycle_submatrix(lifting, c).determinant().is_zero() for c in cycles
         ]
+
+
+def _matching_bases():
+    """(base, depth): random bases with column weights 1 to 4, and all-ones ones."""
+    rng = np.random.default_rng(15)
+    cases = [(BaseMatrix(np.ones((3, 3))), 6), (BaseMatrix(np.ones((4, 4))), 8)]
+    for depth in (4, 6, 8, 10):
+        for _ in range(10):
+            m = int(rng.integers(4, 7))
+            weights = rng.integers(1, 5, size=int(rng.integers(4, 8)))
+            cases.append((random_weighted_base(rng, m, weights), depth))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_cycle_matchings_match_permutation_search(chunk, monkeypatch):
+    if chunk is not None:  # many chunks per length: owners must carry across them
+        monkeypatch.setattr(lifter, "_MATCH_CHUNK", chunk)
+    most = 0
+    for base, depth in _matching_bases():
+        cycles = all_cycles(base, depth)
+        owner, edges = lifter._cycle_matchings(base, cycles)
+        ones = base.ones() + [None]  # the padding index
+        got = [set() for _ in cycles]
+        for c, row in zip(owner.tolist(), edges.tolist()):
+            matching = frozenset(ones[e] for e in row) - {None}
+            assert matching not in got[c], "a matching found twice"
+            got[c].add(matching)
+        for c, found in zip(cycles, got):
+            assert found == reference_cycle_matchings(base, c), c
+            most = max(most, len(found))
+    assert most > 2  # chords give some cycle more than its two alternating matchings
 
 
 def test_unassigned_edge_raises():
@@ -388,6 +422,7 @@ def test_config_validation():
         ("s", 3.5),
         ("q", 4.0),
         ("depth", 6.0),
+        ("depth", True),
         ("trials_per_edge", 2.5),
         ("trials_per_edge", True),
         ("rng_seed", 1.5),
