@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +158,53 @@ class Cycle:
         return cls(cols, rows)
 
 
-class CycleList(list):
-    """Cycles found by an enumeration, plus whether a cycle cap cut it short."""
+class CycleList(Sequence):
+    """Cycles held as padded walk arrays; an item becomes a Cycle only when read.
 
-    truncated = False
+    Row t of `cols` and `rows` is cycle t's walk (see Cycle), padded with -1
+    beyond its length // 2 entries.  `truncated` tells whether a cycle cap
+    dropped cycles from the enumeration that made the list.
+    """
+
+    def __init__(self, cols: np.ndarray, rows: np.ndarray, truncated: bool = False) -> None:
+        cols.setflags(write=False)
+        rows.setflags(write=False)
+        self.cols, self.rows, self.truncated = cols, rows, truncated
+        self.lengths = 2 * (cols >= 0).sum(axis=1)
+
+    @classmethod
+    def from_cycles(cls, cycles) -> "CycleList":
+        """The walk arrays of a sequence of Cycle objects."""
+        width = max((len(c.cols) for c in cycles), default=2)
+        cols = np.full((len(cycles), width), -1, dtype=np.int32)
+        rows = cols.copy()
+        for t, c in enumerate(cycles):
+            cols[t, : len(c.cols)] = c.cols
+            rows[t, : len(c.rows)] = c.rows
+        return cls(cols, rows)
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def __getitem__(self, t) -> Cycle:
+        t = range(len(self))[operator.index(t)]  # negative counts from the end
+        k = self.lengths[t] // 2
+        return Cycle(tuple(self.cols[t, :k].tolist()), tuple(self.rows[t, :k].tolist()))
+
+    def __iter__(self):
+        for cols, rows, length in zip(
+            self.cols.tolist(), self.rows.tolist(), self.lengths.tolist()
+        ):
+            yield Cycle(tuple(cols[: length // 2]), tuple(rows[: length // 2]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, CycleList)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
 
 
 MAX_DEPTH = 12  # the paper's 8x66 base has 332,458 cycles up to length 12, 276,720 of length 12
+_WALK_CHUNK = 1 << 12  # open walks per step of the cycle enumeration: bounds its arrays
 
 
 def check_depth(depth) -> int:
@@ -176,95 +218,165 @@ def check_depth(depth) -> int:
     return int(depth)
 
 
-def _walk_cycles(h: BaseMatrix, j: int, depth: int, cap: int | None) -> CycleList:
-    """The cycles whose smallest column is j, in all_cycles' order."""
-    max_k = depth // 2
-    closes = set(h.rows_of_col[j])
-    # per column, its rows that also meet column j, in rows_of_col order
-    closing = [[i for i in rows if i in closes] for rows in h.rows_of_col]
-    found = CycleList()
-    per_length: dict[int, int] = {}
-    capped_lengths: set[int] = set()
-    cols_path = [j]
-    rows_path: list[int] = []
-    cols_used = {j}
-    rows_used: set[int] = set()
+def ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(start[t], start[t] + count[t]) over t."""
+    offset = np.cumsum(count) - count
+    return np.repeat(start - offset, count) + np.arange(int(count.sum()))
 
-    def record(close_row: int) -> None:
-        length = 2 * len(cols_path)
-        count = per_length.get(length, 0)
-        if cap is not None and count >= cap:
-            if length not in capped_lengths:
-                capped_lengths.add(length)
-                found.truncated = True
-                warnings.warn(
-                    f"cycle cap {cap} reached for length {length} at column {j}; "
-                    "enumeration truncated",
-                    stacklevel=3,
-                )
-            return
-        per_length[length] = count + 1
-        # the walk starts at its smallest column, first row below the last
-        found.append(Cycle(tuple(cols_path), (*rows_path, close_row)))
 
-    def dfs() -> None:
-        current = cols_path[-1]
-        k = len(cols_path)
-        for i in h.rows_of_col[current]:
-            if i in rows_used:
-                continue
-            # close back to the start column; rows_path[0] < i fixes direction
-            if k >= 2 and i in closes and rows_path[0] < i:
-                record(i)
-            rows_used.add(i)
-            rows_path.append(i)
-            for j2 in h.cols_of_row[i]:
-                if j2 < j or j2 in cols_used:
-                    continue
-                if k + 1 == max_k:
-                    # the last column can only close the walk: the body of
-                    # dfs() at that depth, inlined
-                    for i2 in closing[j2]:
-                        if i2 not in rows_used and rows_path[0] < i2:
-                            cols_path.append(j2)
-                            record(i2)
-                            cols_path.pop()
-                    continue
-                cols_used.add(j2)
-                cols_path.append(j2)
-                dfs()
-                cols_path.pop()
-                cols_used.discard(j2)
-            rows_path.pop()
-            rows_used.discard(i)
+class _WalkTables:
+    """The base's adjacency as flat arrays, read by every step of _grow_walks."""
 
-    dfs()
-    return found
+    def __init__(self, h: BaseMatrix) -> None:
+        self.n = h.n
+        self.bits = h.bits.astype(bool)
+        # rows_of_col and cols_of_row, flattened: item t is flat[ptr[t]:ptr[t + 1]]
+        self.col_ptr = np.concatenate(([0], np.cumsum(h.column_degrees)))
+        self.col_rows = np.nonzero(h.bits.T)[1].astype(np.int32)
+        self.row_ptr = np.concatenate(([0], np.cumsum(h.row_degrees)))
+        self.row_cols = np.nonzero(h.bits)[1].astype(np.int32)
+        # after[i, j]: where the columns of row i above column j begin in row_cols
+        self.after = self.row_ptr[:-1, None] + np.cumsum(h.bits, axis=1)
+        # the steps that close a walk from start column j: from row i to column
+        # j2 > j, then back to j through row i2 != i, sorted by (i, j, j2, i2)
+        close = sorted(
+            (i * h.n + j, j2, i2)
+            for i in range(h.m)
+            for j2 in h.cols_of_row[i]
+            for i2 in h.rows_of_col[j2]
+            if i2 != i
+            for j in h.cols_of_row[i2]
+            if j < j2
+        )
+        key, self.close_col, self.close_row = np.array(close, dtype=np.int32).reshape(-1, 3).T
+        self.close_ptr = np.searchsorted(key, np.arange(h.m * h.n + 1))
+
+
+def _grow_walks(tab: _WalkTables, cols: np.ndarray, rows: np.ndarray, max_k: int, out: list):
+    """Append to `out`, as (cols, rows) arrays, the cycles that extend the open walks.
+
+    Walk w has visited the columns cols[w], from its start column cols[w, 0]
+    up, joined by the rows rows[w]; every later column lies above the start.
+    Each walk takes each new row i of its last column.  When i meets the
+    start column the walk closes into a cycle.  Below max_k columns it goes
+    on to each new column of i, and the walks that have one more column to
+    take read it, with the row that closes them, from the tables.  A cycle
+    is kept in the direction whose first row is below its closing row.
+    """
+    width = cols.shape[1]
+    start = cols[:, 0]
+    last = cols[:, -1]
+    count = tab.col_ptr[last + 1] - tab.col_ptr[last]
+    w = np.repeat(np.arange(len(cols)), count)
+    i = tab.col_rows[ranges(tab.col_ptr[last], count)]
+    keep = (rows[w] != i[:, None]).all(axis=1)
+    w, i = w[keep], i[keep]
+    if width > 1:
+        first = rows[w, 0]
+        shut = tab.bits[i, start[w]] & (first < i)
+        out.append((cols[w[shut]], np.column_stack((rows[w[shut]], i[shut]))))
+    else:
+        first = i
+    if width + 1 < max_k:  # the next column is not the last: open walks
+        lo = tab.after[i, start[w]]
+        count = tab.row_ptr[i + 1] - lo
+        u = np.repeat(np.arange(len(w)), count)
+        j2 = tab.row_cols[ranges(lo, count)]
+        wu = w[u]
+        keep = (cols[wu] != j2[:, None]).all(axis=1)
+        cols2 = np.column_stack((cols[wu[keep]], j2[keep]))
+        rows2 = np.column_stack((rows[wu[keep]], i[u[keep]]))
+        for lo in range(0, len(cols2), _WALK_CHUNK):
+            chunk = slice(lo, lo + _WALK_CHUNK)
+            _grow_walks(tab, cols2[chunk], rows2[chunk], max_k, out)
+    else:  # the last column and its closing row
+        key = i * tab.n + start[w]
+        lo = tab.close_ptr[key]
+        count = tab.close_ptr[key + 1] - lo
+        u = np.repeat(np.arange(len(w)), count)
+        at = ranges(lo, count)
+        j2, i2 = tab.close_col[at], tab.close_row[at]
+        wu = w[u]
+        keep = (
+            (cols[wu] != j2[:, None]).all(axis=1)
+            & (rows[wu] != i2[:, None]).all(axis=1)
+            & (first[u] < i2)
+        )
+        wu, u = wu[keep], u[keep]
+        out.append(
+            (
+                np.column_stack((cols[wu], j2[keep])),
+                np.column_stack((rows[wu], i[u], i2[keep])),
+            )
+        )
 
 
 def all_cycles(h: BaseMatrix, depth: int, cap: int | None = None) -> CycleList:
-    """Every cycle of length <= depth, each found once from its smallest column.
+    """Every cycle of length <= depth, each once, as its oriented walk.
 
-    Cycles come grouped by smallest column, ascending.  Within a group they
-    come in the order of a depth-first walk from that column over larger
-    columns: rows in rows_of_col order, then columns in cols_of_row order,
-    a cycle recorded as the walk closes back to the start column, in the
-    direction whose first row is the smaller.  The order is deterministic,
-    so truncation by `cap` is reproducible.  `cap` bounds the cycles per
-    (smallest column, length); `.truncated` tells whether it dropped any.
+    A cycle is the walk cols[0], rows[0], cols[1], ..., cols[k-1], rows[k-1]
+    of Cycle.  Cycles come sorted by that sequence, compared entry by entry,
+    where a walk that has already closed sorts before every longer walk
+    through the same steps.  This is the order of a depth-first walk from
+    each column over larger columns, rows taken before the columns they
+    lead to, each ascending, a cycle recorded as the walk closes back to
+    its start.  `cap` keeps the first `cap` cycles, in that order, of each
+    (smallest column, length); `.truncated` tells whether it dropped any,
+    and each (column, length) it cut warns once, in that order.
+
+    Walks grow one (row, column) step at a time as integer arrays of at
+    most _WALK_CHUNK walks, so memory stays bounded at any depth.
     """
     check_depth(depth)
-    out = CycleList()
-    for j in range(h.n):
-        found = _walk_cycles(h, j, depth, cap)
-        out.extend(found)
-        out.truncated |= found.truncated
-    return out
+    max_k = depth // 2
+    tab = _WalkTables(h)
+    # int32 walks halve the memory a deep enumeration holds
+    start = np.arange(h.n, dtype=np.int32)[:, None]
+    found: list[tuple[np.ndarray, np.ndarray]] = []
+    _grow_walks(tab, start, np.zeros((h.n, 0), dtype=np.int32), max_k, found)
+    # one row per cycle, padded with -1, which sorts before every index
+    cols = np.full((sum(len(c) for c, _ in found), max_k), -1, dtype=np.int32)
+    rows = cols.copy()
+    at = 0
+    while found:  # each piece freed once copied
+        c, r = found.pop()
+        cols[at : at + len(c), : c.shape[1]] = c
+        rows[at : at + len(r), : r.shape[1]] = r
+        at += len(c)
+    # sort by cols[:, 0], rows[:, 0], cols[:, 1], ...: one key per (column, row)
+    # step, padding lowest; lexsort's primary key is its last
+    step = np.multiply(cols + 1, h.m + 1, dtype=np.int64) + rows + 1
+    order = np.lexsort(step.T[::-1])
+    del step
+    cols, rows = cols[order], rows[order]
+    truncated = False
+    if cap is not None:
+        group = cols[:, 0] * (max_k + 1) + (cols >= 0).sum(axis=1)
+        by_group = np.argsort(group, kind="stable")
+        rank = np.empty(len(group), dtype=np.intp)
+        rank[by_group] = np.arange(len(group)) - np.searchsorted(group[by_group], group[by_group])
+        keep = rank < cap
+        for g in np.unique(group[~keep]).tolist():
+            j, k = divmod(g, max_k + 1)
+            warnings.warn(
+                f"cycle cap {cap} reached for length {2 * k} at column {j}; "
+                "enumeration truncated",
+                stacklevel=2,
+            )
+        truncated = not keep.all()
+        cols, rows = cols[keep], rows[keep]
+    return CycleList(cols, rows, truncated)
 
 
 def cycle_ace(h: BaseMatrix, c: Cycle) -> int:
     """Edges leaving the cycle's variable nodes: sum of (degree - 2)."""
     return sum(h.column_degrees[j] - 2 for j in c.cols)
+
+
+def cycle_aces(h: BaseMatrix, cycles: CycleList) -> np.ndarray:
+    """cycle_ace of every cycle of the list."""
+    excess = np.append(np.array(h.column_degrees) - 2, 0)  # the padding -1 reads the 0
+    return excess[cycles.cols].sum(axis=1)
 
 
 @dataclass(frozen=True, order=True)

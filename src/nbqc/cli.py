@@ -17,13 +17,15 @@ import json
 import sys
 import warnings
 
+import numpy as np
+
 from . import __version__
 from .alist_io import AlistFormatError, load_matrix_file, serialize_qc, sha256_of_file
 from .base_graph import (
     BaseMatrix,
     all_cycles,
     check_depth,
-    cycle_ace,
+    cycle_aces,
     girth,
     inf_or_int,
 )
@@ -106,19 +108,19 @@ def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None
             )
     print(f"base girth: {inf_or_int(girth(base))}")
 
+    aces = cycle_aces(base, cycles)
     if lifting is not None:
         eliminated = cycles_eliminated(lifting, cycles)
     for length in range(4, depth + 1, 2):
-        of_len = [t for t, c in enumerate(cycles) if c.length == length]
-        if not of_len:
+        of_len = cycles.lengths == length
+        if not of_len.any():
             print(f"length {length}: no cycles")
             continue
-        aces = [cycle_ace(base, cycles[t]) for t in of_len]
-        line = f"length {length}: {len(of_len)} cycles, min ACE {min(aces)}"
+        line = f"length {length}: {np.count_nonzero(of_len)} cycles, min ACE {aces[of_len].min()}"
         if lifting is not None:
-            surviving = [ace for t, ace in zip(of_len, aces) if not eliminated[t]]
-            if surviving:
-                line += f"; {len(surviving)} surviving, min ACE {min(surviving)}"
+            surviving = aces[of_len & ~eliminated]
+            if surviving.size:
+                line += f"; {surviving.size} surviving, min ACE {surviving.min()}"
             else:
                 line += "; all eliminated (e = inf)"
         print(line)

@@ -47,7 +47,9 @@ e, or open under every draw) and over the cycles that draw keeps open.
 The trials of an edge are therefore scored from one such computation, and
 the accept/reject scan over them in draw order, with the random draws
 made in the same order, reproduces the one-trial-at-a-time construction
-exactly.
+exactly.  Which cycles pass through an edge, their matchings, and which
+of those use the edge depend on the base alone, so they are indexed for
+every edge once, before the first draw.
 """
 
 from __future__ import annotations
@@ -64,15 +66,19 @@ from .base_graph import (
     AceVector,
     BaseMatrix,
     Cycle,
+    CycleList,
     all_cycles,
     check_depth,
+    cycle_aces,
     girth,
     inf_or_int,
     lifted_edges,
+    ranges,
 )
 from .gf import DEFAULT_PRIMITIVE_POLY, GF
 
 _MATCH_CHUNK = 1 << 12  # cycles per step of the matching search: bounds its arrays
+_EDGE_CHUNK = 1 << 14  # incidences per step of _edge_incidence: bounds its arrays
 
 
 def check_int(name: str, value, low: int) -> int:
@@ -211,12 +217,6 @@ class ConstructionReport:
 # ----------------------------------------------------------------------
 # cycle elimination test
 # ----------------------------------------------------------------------
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(start[t], start[t] + count[t]) over t."""
-    offset = np.cumsum(count) - count
-    return np.repeat(start - offset, count) + np.arange(int(count.sum()))
-
-
 @functools.cache
 def _log_exp(field: GF) -> tuple[np.ndarray, np.ndarray]:
     """Discrete logs (mod q - 1) and the powers of the primitive element."""
@@ -231,14 +231,15 @@ def _log_exp(field: GF) -> tuple[np.ndarray, np.ndarray]:
 def _edge_index(base: BaseMatrix) -> np.ndarray:
     """The index of each base position in base.ones(); -1 off the base."""
     rows, cols = lifted_edges(base.bits)  # s = 1: the base edges themselves
-    index = np.full(base.bits.shape, -1, dtype=np.intp)
+    index = np.full(base.bits.shape, -1, dtype=np.int32)
     index[rows, cols] = np.arange(rows.size).reshape(rows.shape)
     return index
 
 
-def _cycle_matchings(base: BaseMatrix, cycles: list[Cycle]) -> tuple[np.ndarray, np.ndarray]:
+def _cycle_matchings(base: BaseMatrix, cycles) -> tuple[np.ndarray, np.ndarray]:
     """Perfect matchings of every cycle's submatrix over its rows x cols.
 
+    `cycles` is a CycleList, or a list of Cycle objects to be read as one.
     Returns (owner, edges) sorted by owner: row t of `edges` is a matching
     of cycles[owner[t]], as indices into base.ones().  Matchings of shorter
     cycles are padded with the index len(base.ones()), an edge that the
@@ -248,16 +249,17 @@ def _cycle_matchings(base: BaseMatrix, cycles: list[Cycle]) -> tuple[np.ndarray,
     still free column the row meets; every perfect matching is one such
     sequence of choices, so each is found once.
     """
+    if not isinstance(cycles, CycleList):
+        cycles = CycleList.from_cycles(cycles)
     edge_index = _edge_index(base)
     pad = int(base.bits.sum())
-    half = np.array([len(c.cols) for c in cycles], dtype=np.intp)
+    half = cycles.lengths // 2
     width = int(half.max(initial=0))
     owners = [np.zeros(0, dtype=np.intp)]
-    found = [np.zeros((0, width), dtype=np.intp)]
+    found = [np.zeros((0, width), dtype=np.int32)]
     for k in np.unique(half).tolist():
         ids = np.flatnonzero(half == k)
-        rows = np.array([cycles[t].rows for t in ids], dtype=np.intp)
-        cols = np.array([cycles[t].cols for t in ids], dtype=np.intp)
+        rows, cols = cycles.rows[ids, :k], cycles.cols[ids, :k]
         bit = 1 << np.arange(k)
         for lo in range(0, len(ids), _MATCH_CHUNK):
             chunk = slice(lo, lo + _MATCH_CHUNK)
@@ -265,7 +267,7 @@ def _cycle_matchings(base: BaseMatrix, cycles: list[Cycle]) -> tuple[np.ndarray,
             sub = edge_index[rows[chunk, :, None], cols[chunk, None, :]]
             owner = np.arange(len(sub))
             used = np.zeros(len(sub), dtype=np.intp)  # bit p: column p is matched
-            block = np.full((len(sub), width), pad, dtype=np.intp)
+            block = np.full((len(sub), width), pad, dtype=np.int32)
             for t in range(k):
                 step = sub[owner, t]
                 which, p = np.nonzero((step >= 0) & (used[:, None] & bit == 0))
@@ -303,11 +305,12 @@ def _xor_terms(
     return key // s, key % s, total[keep]
 
 
-def cycles_eliminated(lifting: Lifting, cycles: list[Cycle]) -> np.ndarray:
+def cycles_eliminated(lifting: Lifting, cycles) -> np.ndarray:
     """Per cycle, whether its polynomial submatrix has nonzero determinant.
 
-    The determinant is the per-shift xor of the matching terms of the
-    submatrix over rows(cycle) x cols(cycle) (see the module docstring).
+    `cycles` is a CycleList or a list of Cycle objects.  The determinant
+    is the per-shift xor of the matching terms of the submatrix over
+    rows(cycle) x cols(cycle) (see the module docstring).
     """
     log, exp = _log_exp(lifting.field)
     beta, shift = lifting.edge_arrays()
@@ -373,7 +376,7 @@ def _open_draws(
     # the draw holds when every term of B, moved by it, is a term of A
     n = nb[g]
     cand = np.repeat(np.arange(t.size), n)
-    u = _ranges(first, n)
+    u = ranges(first, n)
     moved = (g[cand] * s + (zb[u] + z[cand]) % s) * order + (lb[u] + lg[cand]) % order
     terms_a = (ga * s + za) * order + la  # strictly increasing
     at = np.minimum(np.searchsorted(terms_a, moved), max(terms_a.size - 1, 0))
@@ -385,6 +388,60 @@ def _ace_minima(counts: np.ndarray, empty: int) -> np.ndarray:
     """Per row, the first column with a nonzero count; `empty` for an empty row."""
     present = counts > 0
     return np.where(present.any(axis=-1), present.argmax(axis=-1), empty)
+
+
+def _edge_incidence(owner: np.ndarray, edges: np.ndarray, n_cycles: int, n_edges: int):
+    """Per base edge, the cycles with a matching through it, and their matchings.
+
+    Edge e's cycles are cyc[cyc_ptr[e]:cyc_ptr[e + 1]], ascending.  The
+    matchings of those cycles, cycle by cycle, are the rows of `edges`
+    listed in m_rows[m_ptr[e]:m_ptr[e + 1]]; m_local holds the position
+    of each one's cycle in e's list, and m_uses whether it uses e.  Edges
+    are read in groups of at most _EDGE_CHUNK (edge, matching) incidences,
+    which bounds the temporary arrays.
+    """
+    m_start = np.searchsorted(owner, np.arange(n_cycles))
+    m_count = np.bincount(owner, minlength=n_cycles)
+    flat = edges.ravel()
+    per_edge = np.bincount(flat, minlength=n_edges + 1)[:n_edges]  # not the padding edge
+    bounds = np.concatenate(([0], np.cumsum(per_edge)))
+    # matchings ascending within each edge: a radix sort on the smallest
+    # unsigned type; int32 halves the largest arrays of a depth-12 construction
+    by_edge = np.argsort(flat.astype(np.min_scalar_type(n_edges)), kind="stable")
+    by_edge = by_edge.astype(np.int32)
+    n_cyc, n_rows = np.zeros(n_edges, np.intp), np.zeros(n_edges, np.intp)
+    parts: tuple[list, ...] = ([], [], [], [])
+    e0 = 0
+    while e0 < n_edges:
+        e1 = max(e0 + 1, int(np.searchsorted(bounds, bounds[e0] + _EDGE_CHUNK, "right")) - 1)
+        # the (edge, matching) incidences of edges e0..e1-1, edges counted from e0
+        match = by_edge[bounds[e0] : bounds[e1]] // edges.shape[1]
+        edge = np.repeat(np.arange(e1 - e0), per_edge[e0:e1])
+        cycle = owner[match]
+        # one (edge, cycle) pair wherever either changes
+        new = np.ones(match.size, dtype=bool)
+        new[1:] = (edge[1:] != edge[:-1]) | (cycle[1:] != cycle[:-1])
+        cyc, cyc_edge = cycle[new], edge[new]
+        n_cyc[e0:e1] = np.bincount(cyc_edge, minlength=e1 - e0)
+        local = np.arange(cyc.size) - (np.cumsum(n_cyc[e0:e1]) - n_cyc[e0:e1])[cyc_edge]
+        # each pair's matchings, marking the ones the incidences name
+        count = m_count[cyc]
+        n_rows[e0:e1] = np.bincount(cyc_edge, weights=count, minlength=e1 - e0)
+        first = np.cumsum(count) - count
+        uses = np.zeros(int(count.sum()), dtype=bool)
+        uses[first[np.cumsum(new) - 1] + match - m_start[cycle]] = True
+        rows = ranges(m_start[cyc], count)
+        for part, a in zip(parts, (cyc, rows, np.repeat(local, count), uses)):
+            part.append(a if a.dtype == bool else a.astype(np.int32))
+        e0 = e1
+    joined = []
+    for part in parts:  # each part's pieces freed as soon as they are joined
+        joined.append(np.concatenate(part))
+        part.clear()
+    cyc, m_rows, m_local, m_uses = joined
+    cyc_ptr = np.concatenate(([0], np.cumsum(n_cyc)))
+    m_ptr = np.concatenate(([0], np.cumsum(n_rows)))
+    return cyc_ptr, cyc, m_ptr, m_rows, m_local, m_uses
 
 
 def greedy_lift(
@@ -400,24 +457,20 @@ def greedy_lift(
     order = len(exp)
 
     cycles = all_cycles(h, cfg.depth, cap=cfg.cycle_cap)
-    owner, edges = _cycle_matchings(h, cycles)
     ones = h.ones()
+    owner, edges = _cycle_matchings(h, cycles)
+    cyc_ptr, cyc, m_ptr, m_rows, m_local, m_uses = _edge_incidence(
+        owner, edges, len(cycles), len(ones)
+    )
+    del edges  # the largest array; the trial loop reads the incidence instead
+    # every edge starts at beta = 1, shift 0: each matching's term is x^0
     edge_log = np.zeros(len(ones) + 1, dtype=np.int64)
     edge_shift = np.zeros(len(ones) + 1, dtype=np.int64)
-    log_sum, shift_sum = _matching_sums(edges, edge_log, edge_shift, order, s)
-    m_start = np.searchsorted(owner, np.arange(len(cycles)))
-    m_count = np.bincount(owner, minlength=len(cycles))
-    # the matchings through each edge, ascending
-    flat = edges.ravel()
-    by_edge = np.argsort(flat, kind="stable")
-    through = by_edge // max(edges.shape[1], 1)
-    bounds = np.searchsorted(flat[by_edge], np.arange(len(ones) + 1))
+    log_sum = np.zeros(len(owner), dtype=np.int64)
+    shift_sum = np.zeros(len(owner), dtype=np.int64)
 
-    # a cycle's first matching meets each of its columns once
-    degree = np.array([h.column_degrees[j] for _, j in ones] + [2], dtype=np.intp)
-    first = edges[m_start]
-    ace = (degree[first] - 2).sum(axis=1)
-    slot = (first < len(ones)).sum(axis=1) - 2  # position of the length in the ACE vector
+    ace = cycle_aces(h, cycles)
+    slot = cycles.lengths // 2 - 2  # position of the length in the ACE vector
     n_slots = cfg.depth // 2 - 1
     width = int(ace.max(initial=0)) + 1  # an ACE no cycle has: marks "none open"
     cell = slot * width + ace
@@ -428,10 +481,11 @@ def greedy_lift(
     is_open[nonzero] = False
     counts = np.bincount(cell[is_open], minlength=cells)
 
-    def vector(minima) -> AceVector:
-        return AceVector(cfg.depth, tuple(math.inf if v == width else int(v) for v in minima))
+    def vector(minima: list[int]) -> tuple[float, ...]:
+        """ACE vector values, compared as tuples: AceVector's order at one depth."""
+        return tuple(math.inf if v == width else v for v in minima)
 
-    ace_max = vector(_ace_minima(counts.reshape(n_slots, width), width))
+    ace_max = vector(_ace_minima(counts.reshape(n_slots, width), width).tolist())
     rng = np.random.default_rng(cfg.rng_seed)
 
     trials_total = 0
@@ -444,12 +498,12 @@ def greedy_lift(
         trials_total += len(draws)
         keys = [int(log[beta]) * s + shift for beta, shift in draws]
 
-        mine = through[bounds[e] : bounds[e + 1]]
-        hit = np.unique(owner[mine])
-        rows = _ranges(m_start[hit], m_count[hit])
+        hit = cyc[cyc_ptr[e] : cyc_ptr[e + 1]]
+        through = slice(m_ptr[e], m_ptr[e + 1])
+        rows, uses = m_rows[through], m_uses[through]
         always, opened, opened_key = _open_draws(
-            np.repeat(np.arange(hit.size), m_count[hit]),
-            (edges[rows] == e).any(axis=1),
+            m_local[through],
+            uses,
             log_sum[rows],
             shift_sum[rows],
             int(edge_log[e]),
@@ -468,19 +522,20 @@ def greedy_lift(
             - np.bincount(hit_cell[was_open], minlength=cells)
             + np.bincount(hit_cell[always], minlength=cells)
         )
-        drawn = np.unique(keys)
+        drawn = np.array(sorted(set(keys)))
         table = np.tile(_ace_minima(fixed.reshape(n_slots, width), width), (drawn.size, 1))
         at = np.minimum(np.searchsorted(drawn, opened_key), drawn.size - 1)
         use = drawn[at] == opened_key
-        np.minimum.at(table, (at[use], slot[hit][opened[use]]), ace[hit][opened[use]])
-        vectors = {int(key): vector(row) for key, row in zip(drawn, table.tolist())}
+        kept = hit[opened[use]]
+        np.minimum.at(table, (at[use], slot[kept]), ace[kept])
+        vectors = dict(zip(drawn.tolist(), map(vector, table.tolist())))
 
         last = None
         for (beta, shift), key in zip(draws, keys):
             vec = vectors[key]
             if ace_max <= vec:
                 ace_max = vec
-                accepted.append(AcceptedTrial((i, j), shift, beta, vec.values))
+                accepted.append(AcceptedTrial((i, j), shift, beta, vec))
                 last = (beta, shift, key)
         if last is None:
             continue
@@ -491,6 +546,7 @@ def greedy_lift(
         counts += np.bincount(hit_cell[now_open], minlength=cells)
         counts -= np.bincount(hit_cell[was_open], minlength=cells)
         is_open[hit] = now_open
+        mine = rows[uses]
         log_sum[mine] = (log_sum[mine] + log[beta] - edge_log[e]) % order
         shift_sum[mine] = (shift_sum[mine] + shift - edge_shift[e]) % s
         edge_log[e], edge_shift[e] = log[beta], shift
@@ -503,7 +559,7 @@ def greedy_lift(
         cycle_counts[length] = (still_open, int(np.count_nonzero(of_len)) - still_open)
 
     report = ConstructionReport(
-        ace=ace_max,
+        ace=AceVector(cfg.depth, ace_max),
         cycle_counts=cycle_counts,
         expanded_girth=expanded_girth(lifting),
         seed=cfg.rng_seed,

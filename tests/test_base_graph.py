@@ -1,15 +1,35 @@
+import hashlib
 import math
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ace_vector, brute_force_cycles, cycles_through, random_base_matrix
-from nbqc.base_graph import AceVector, BaseMatrix, Cycle, all_cycles, cycle_ace, girth
+from helpers import (
+    ace_vector,
+    brute_force_cycles,
+    cycles_through,
+    random_base_matrix,
+    random_weighted_base,
+)
+from nbqc import base_graph
+from nbqc.base_graph import (
+    AceVector,
+    BaseMatrix,
+    Cycle,
+    CycleList,
+    all_cycles,
+    cycle_ace,
+    cycle_aces,
+    girth,
+)
 from nbqc.cli import _analyze_base
 
 EX_BASE = BaseMatrix([[0, 1, 1], [1, 0, 1]])
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +194,112 @@ def test_all_cycles_cap_counts_per_smallest_column():
             kept[key] += 1
             expected.append(c)
     assert capped == expected
+
+
+def depth_first_cycles(h: BaseMatrix, depth: int, cap: int | None = None):
+    """all_cycles by the oracle walk: each column's own cycles in cycles_through's order.
+
+    Keeps the first `cap` cycles of each (smallest column, length) and
+    returns them with the warning texts of the pairs the cap cut.
+    """
+    kept, texts = [], set()
+    for j in range(h.n):
+        seen: Counter = Counter()
+        for c in cycles_through(h, j, depth):
+            if c.cols[0] != j:
+                continue  # found again from its smallest column
+            seen[c.length] += 1
+            if cap is None or seen[c.length] <= cap:
+                kept.append(c)
+            else:
+                texts.add(
+                    f"cycle cap {cap} reached for length {c.length} at column {j}; "
+                    "enumeration truncated"
+                )
+    return kept, texts
+
+
+def _oracle_bases():
+    """(base, depth): random bases with column weights 1 to 4 and up to 6 rows.
+
+    Bases get fewer columns as the depth grows, so that the brute force
+    over column sequences stays quick.
+    """
+    rng = np.random.default_rng(16)
+    cases = [(BaseMatrix(np.ones((4, 5), dtype=int)), 8)]
+    for depth, most_cols in ((4, 8), (6, 8), (8, 7), (10, 7), (12, 7)):
+        for _ in range(8):
+            m = int(rng.integers(max(2, depth // 2 - 1), 7))  # room for the longest cycles
+            weights = [0]
+            while sum(weights) < m:  # enough ones to cover every row
+                n = int(rng.integers(max(2, depth // 2), most_cols + 1))
+                weights = np.minimum(rng.integers(1 + depth // 10, 5, size=n), m).tolist()
+            cases.append((random_weighted_base(rng, m, weights), depth))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_all_cycles_matches_the_depth_first_oracle(chunk, monkeypatch):
+    if chunk is not None:  # many chunks per step: walks must carry across them
+        monkeypatch.setattr(base_graph, "_WALK_CHUNK", chunk)
+    longest = set()
+    for h, depth in _oracle_bases():
+        want, _ = depth_first_cycles(h, depth)
+        got = all_cycles(h, depth)
+        assert got == want, (h.bits, depth)
+        longest |= {depth} & set(got.lengths.tolist())
+        assert set(got) == brute_force_cycles(h, depth)
+        assert got.truncated is False
+        for cap in range(1, 6):
+            want, texts = depth_first_cycles(h, depth, cap)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = all_cycles(h, depth, cap=cap)
+            assert got == want, (h.bits, depth, cap)
+            assert got.truncated is bool(texts)
+            messages = [str(w.message) for w in caught]
+            assert sorted(messages) == sorted(texts)  # one warning per capped pair
+    assert longest == {4, 6, 8, 10, 12}  # every depth reached its own length
+
+
+def test_cycle_list_reads_as_a_list_of_cycles():
+    h = BaseMatrix(np.ones((3, 4), dtype=int))
+    cycles = all_cycles(h, 6)
+    listed = list(cycles)
+    assert isinstance(cycles, CycleList) and all(isinstance(c, Cycle) for c in listed)
+    assert cycles == listed and listed == cycles
+    assert cycles != listed[:-1] and cycles != listed[::-1]
+    assert len(cycles) == len(listed) == len(set(cycles)) == 42
+    assert [cycles[t] for t in range(-len(cycles), 0)] == listed
+    for t, c in enumerate(listed):
+        again = cycles[t]
+        assert again == c and hash(again) == hash(c) and again is not c
+    with pytest.raises(IndexError):
+        cycles[len(cycles)]
+    with pytest.raises(IndexError):
+        cycles[-len(cycles) - 1]
+    assert CycleList.from_cycles(listed) == cycles
+    assert CycleList.from_cycles([]) == [] == all_cycles(EX_BASE, 4)
+    assert cycle_aces(h, cycles).tolist() == [cycle_ace(h, c) for c in listed]
+
+
+def test_depth_12_cycles_of_the_paper_base_keep_their_order():
+    # pins the order and the counts the depth-first walk gave on the paper's
+    # 8x66 base; cap truncation and every seeded construction depend on both
+    h = BaseMatrix.from_file(INPUTS / "base_8x66.txt")
+    cycles = all_cycles(h, 12)
+    assert Counter(cycles.lengths.tolist()) == {
+        4: 48,
+        6: 751,
+        8: 6555,
+        10: 48384,
+        12: 276720,
+    }
+    assert len(cycles) == 332_458
+    assert (
+        hashlib.sha256(repr(list(cycles)).encode()).hexdigest()
+        == "82ce6d818463047d512b4567f911959b1ef91c45b1947fc47029960e1bea84d4"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from helpers import (
     reference_greedy_lift,
 )
 from nbqc.alist_io import serialize_qc
-from nbqc.base_graph import BaseMatrix, all_cycles, girth, weight2_base
+from nbqc.base_graph import BaseMatrix, Cycle, all_cycles, girth, weight2_base
 from nbqc.gf import GF
 from nbqc import lifter
 from nbqc.lifter import (
@@ -37,6 +38,7 @@ F16 = GF(4)
 
 EX_BASE = BaseMatrix([[0, 1, 1], [1, 0, 1]])
 ALL2 = BaseMatrix([[1, 1], [1, 1]])
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 def random_lifting(rng, base, s, field):
@@ -337,6 +339,40 @@ def test_greedy_matches_sequential_reference(kind, q, s, depth, seed):
     assert json.dumps(report.to_dict(), indent=2, sort_keys=True) == json.dumps(
         ref_report.to_dict(), indent=2, sort_keys=True
     )
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_greedy_lift_is_the_same_in_small_incidence_chunks(chunk, monkeypatch):
+    rng = np.random.default_rng(chunk)
+    cases = [
+        (random_weighted_base(rng, 5, [int(w) for w in rng.integers(1, 4, size=7)]), 8),
+        (weight2_base(4, 9), 6),
+    ]
+    for h, depth in cases:
+        cfg = ConstructionConfig(s=7, q=16, depth=depth, trials_per_edge=4, rng_seed=chunk)
+        whole = greedy_lift(h, cfg)
+        with monkeypatch.context() as patch:  # edges read a few at a time
+            patch.setattr(lifter, "_EDGE_CHUNK", chunk)
+            pieces = greedy_lift(h, cfg)
+        assert serialize_qc(pieces[0]) == serialize_qc(whole[0])
+        assert pieces[1].to_dict() == whole[1].to_dict()
+
+
+def test_greedy_lift_builds_no_cycle_objects(monkeypatch):
+    built = []
+    init = Cycle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cycle, "__init__", counting_init)
+    h = BaseMatrix.from_file(INPUTS / "base_4x16.txt")
+    _, report = greedy_lift(h, ConstructionConfig(s=12, q=16, depth=8, trials_per_edge=3))
+    assert sum(e + u for e, u in report.cycle_counts.values()) == 233
+    assert built == []
+    all_cycles(h, 4)[0]  # a read builds one: the counter sees every construction
+    assert len(built) == 1
 
 
 def test_capped_run_reports_truncation():
