@@ -25,13 +25,15 @@ order for the variable update (see `_degree_layout`).  The decoder is
 vectorized over a batch of frames, with per-frame early exit on a zero
 syndrome; batching never changes any individual frame's result.
 
-Work buffers are bounded by bytes, not by the batch.  The demapper builds
-its distance and weight tables for one chunk of frames at a time, and the
-decoder decodes a batch in chunks of the fewest frames whose messages
-reach 4 MiB; every usable CPU pulls chunks from a shared queue until it is
-empty.  A smaller working set also decodes faster per frame.  A chunk is
-demapped and decoded exactly as the whole batch would be, so no frame's
-result depends on the split.
+The demapper and the decoder both work a batch in frame chunks
+(`_each_chunk`), and every usable CPU pulls chunks from a shared queue
+until it is empty.  A chunk holds at most the frames whose work buffers
+fit the byte budget (the demapper's distances; the decoder's messages
+for the fewest frames that reach 4 MiB, as a smaller working set also
+decodes faster per frame), and at most ceil(frames / usable CPUs), so
+every CPU gets a share of even a small batch.  A chunk is demapped and
+decoded exactly as the whole batch would be, so no frame's result
+depends on the split.
 
 Conventions fixed for reproducibility:
   * field symbols become bits most-significant-bit first, in codeword order;
@@ -49,7 +51,7 @@ import math
 import numbers
 import os
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +159,67 @@ def modulate_and_transmit(
 
 
 # ----------------------------------------------------------------------
+# frame chunks
+# ----------------------------------------------------------------------
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_size(frames: int, fit: int, cpus: int) -> int:
+    """Frames per chunk: at most `fit` and ceil(frames / cpus), at least one."""
+    return max(1, min(fit, -(-frames // cpus)))
+
+
+def _each_chunk(frames: int, fit: int, work: Callable[[int, int], None]) -> None:
+    """Call work(lo, hi) once for each chunk [lo, hi) of a batch of frames.
+
+    Chunks hold `_chunk_size(frames, fit, usable CPUs)` frames (the last
+    one the rest).  W = min(usable CPUs, chunks) workers, the caller and
+    W - 1 pool threads, take chunk starts from a shared queue until it is
+    empty; with one worker the caller works alone and no thread starts.
+    After an error the others stop at their next chunk, the error reaches
+    the caller, and no pool thread outlives the call.
+    """
+    cpus = _usable_cpus()
+    size = _chunk_size(frames, fit, cpus)
+    starts = range(0, frames, size)
+    w = min(cpus, len(starts))
+    if w <= 1:
+        for lo in starts:
+            work(lo, min(lo + size, frames))
+        return
+    # imported here: the pool modules cost 0.6 MB that a one-worker batch never uses
+    import queue
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    todo, failed = queue.SimpleQueue(), threading.Event()
+    for lo in starts:
+        todo.put(lo)
+
+    def pull() -> None:
+        try:
+            while not failed.is_set():
+                lo = todo.get_nowait()
+                work(lo, min(lo + size, frames))
+        except queue.Empty:
+            pass
+        except BaseException:
+            failed.set()
+            raise
+
+    # the caller works too, not a w-thread pool.map: one thread and malloc arena fewer
+    with ThreadPoolExecutor(max_workers=w - 1) as pool:
+        rest = [pool.submit(pull) for _ in range(w - 1)]
+        pull()
+    for r in rest:
+        r.result()
+
+
+# ----------------------------------------------------------------------
 # demapping
 # ----------------------------------------------------------------------
 def observation_weights(
@@ -191,27 +254,28 @@ def symbol_likelihoods(
     periods, labels of one period) and `_demap_table` says, for each
     symbol of a period, which labels agree with each value.
 
-    The weights are built for one chunk of frames at a time, the frames
-    whose complex distances to the constellation fit in 4 MiB (at least
-    one), and each chunk fills its rows of the output.
+    The frames are demapped in chunks (see `_each_chunk`) of at most the
+    frames whose complex distances to the constellation fit in 4 MiB;
+    each chunk writes its rows of the output.
     """
     rx = np.atleast_2d(received)
     k = modulation.bits_per_symbol
     if n_symbols * p != rx.shape[1] * k:
         raise ValueError("received length inconsistent with symbol count")
     table = _demap_table(p, k)
+    frames, q = len(rx), 1 << p
+    probs = np.empty((frames, n_symbols // len(table), len(table), q))
+
+    def work(lo: int, hi: int) -> None:
+        w = observation_weights(rx[lo:hi], modulation, snr_db)
+        _demap_chunk(w.reshape(hi - lo, probs.shape[1], -1), table, probs[lo:hi])
+        out = probs[lo:hi].reshape(hi - lo, n_symbols, q)
+        out += _PROB_FLOOR
+        out /= out.sum(axis=2, keepdims=True)
+
     # a frame's distances: one complex128 per observation and constellation point
-    size = max(1, _CHUNK_BYTES // (16 * rx.shape[1] * len(modulation.points)))
-    probs = None
-    for lo in range(0, len(rx), size):
-        w = observation_weights(rx[lo : lo + size], modulation, snr_db)
-        w = w.reshape(len(w), n_symbols // len(table), -1)
-        if probs is None:  # after the first weights, so one chunk peaks as one batch did
-            probs = np.empty((len(rx),) + w.shape[1:2] + (len(table), 1 << p))
-        _demap_chunk(w, table, probs[lo : lo + size])
-    probs = probs.reshape(len(rx), n_symbols, -1)
-    probs += _PROB_FLOOR
-    probs /= probs.sum(axis=2, keepdims=True)
+    _each_chunk(frames, _CHUNK_BYTES // (16 * rx.shape[1] * len(modulation.points)), work)
+    probs = probs.reshape(frames, n_symbols, q)
     return probs if np.ndim(received) == 2 else probs[0]
 
 
@@ -355,13 +419,6 @@ def _degree_layout(owner: np.ndarray, other: np.ndarray, n_owners: int):
     return order, np.argsort(deg, kind="stable"), classes
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
     """out[:, k] = product of g[:, j] over j != k, for (f, d, n, q) blocks.
 
@@ -428,7 +485,7 @@ class QspaDecoder:
 
     @property
     def chunk_frames(self) -> int:
-        """Frames per decoding chunk: the fewest whose float64 messages reach 4 MiB."""
+        """Most frames per decoding chunk: the fewest whose float64 messages reach 4 MiB."""
         return max(1, -(-_CHUNK_BYTES // max(self.n_edges * self.q * 8, 1)))
 
     def decode_batch(
@@ -441,14 +498,10 @@ class QspaDecoder:
         when that happened (0 = the channel decision already satisfied
         every check).
 
-        Frames are decoded in chunks of the fewest frames whose (edges, q)
-        message arrays reach 4 MiB (one frame if a frame alone does), so the
-        work buffers are bounded by bytes, not by the batch.  A batch of one
-        chunk is decoded directly.  Otherwise W = min(usable CPUs, chunks)
-        workers, the caller and W - 1 pool threads, take chunk starts from
-        a shared queue until it is empty, each writing a chunk's outputs at
-        its rows; after an error the others stop at their next chunk, and
-        the error reaches the caller.  A chunk decodes exactly as the whole
+        Frames are decoded in chunks (see `_each_chunk`) of at most
+        `chunk_frames`, so the work buffers are bounded by bytes, not by
+        the batch, and every usable CPU gets a share; each chunk writes
+        its outputs at its rows.  A chunk decodes exactly as the whole
         batch would, so no frame's result depends on the split.
         """
         priors = np.asarray(priors, dtype=float)
@@ -457,46 +510,18 @@ class QspaDecoder:
         if priors.shape[1] != self.n_vars or priors.shape[2] != self.q:
             raise ValueError("prior shape does not match the code")
 
-        frames, size = priors.shape[0], self.chunk_frames
-        if frames <= size:
-            return self._decode(priors, max_iter)
-        # imported here: the pool modules cost 0.6 MB that small batches never use
-        import queue
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        starts = range(0, frames, size)
-        todo, failed = queue.SimpleQueue(), threading.Event()
-        for lo in starts:
-            todo.put(lo)
+        frames = priors.shape[0]
         outs = (
             np.empty((frames, self.n_vars), dtype=np.intp),
             np.empty(frames, dtype=bool),
             np.empty(frames, dtype=np.int64),
         )
 
-        def work() -> None:
-            try:
-                while not failed.is_set():
-                    lo = todo.get_nowait()
-                    for out, part in zip(outs, self._decode(priors[lo : lo + size], max_iter)):
-                        out[lo : lo + size] = part
-            except queue.Empty:
-                pass
-            except BaseException:
-                failed.set()
-                raise
+        def work(lo: int, hi: int) -> None:
+            for out, part in zip(outs, self._decode(priors[lo:hi], max_iter)):
+                out[lo:hi] = part
 
-        w = min(_usable_cpus(), len(starts))
-        if w == 1:
-            work()
-            return outs
-        # the caller works too, not a w-thread pool.map: one thread and malloc arena fewer
-        with ThreadPoolExecutor(max_workers=w - 1) as pool:
-            rest = [pool.submit(work) for _ in range(w - 1)]
-            work()
-        for r in rest:
-            r.result()
+        _each_chunk(frames, self.chunk_frames, work)
         return outs
 
     def _decode(
@@ -687,14 +712,13 @@ def run_monte_carlo(
             needed = -(-(cfg.max_errors - errors) * max(frames, 1) // max(errors, 1))
             b = min(batch_size, cfg.max_frames - frames, needed)
             info = np.zeros((b, code.k), dtype=np.int64)
-            noise = np.zeros((b, n_obs), dtype=complex)
+            noise = np.empty((b, n_obs), dtype=complex)
             sigma = noise_sigma(snr_db)
             for t in range(b):
                 rng = np.random.default_rng([cfg.rng_seed, frame_counter + t])
                 info[t] = rng.integers(0, code.field.q, size=code.k)
-                noise[t] = rng.normal(scale=sigma, size=n_obs) + 1j * rng.normal(
-                    scale=sigma, size=n_obs
-                )
+                noise[t].real = rng.normal(scale=sigma, size=n_obs)
+                noise[t].imag = rng.normal(scale=sigma, size=n_obs)
             tx_words = code.encode(info)
             rx = modulate(tx_words, p, modulation) + noise
             priors = symbol_likelihoods(rx, modulation, snr_db, p, code.n)

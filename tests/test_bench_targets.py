@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from nbqc.channel import run_monte_carlo
+from nbqc.channel import _chunk_size, run_monte_carlo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,10 +75,15 @@ def test_traced_construct_job_reads_its_cycles(tmp_path):
     assert [metrics[f"base_graph.cycles.len{n}"] for n in (4, 6, 8)] == [123, 1416, 9255]
 
 
-def test_only_the_n4620_batch_is_split_into_decoder_chunks():
-    # the split path is what the N=4620 workload measures; N=192 must bypass it
+def test_n4620_batches_split_by_bytes_and_n192_batches_by_cpus():
+    # the two simulate workloads sit on either side of the decoder's chunk-size min:
+    # N=4620 gets one-frame chunks (the byte fit binds), N=192 per-CPU chunks
     cli_batch = inspect.signature(run_monte_carlo).parameters["batch_size"].default
     big = WORKLOADS["simulate_n4620_64qam"]()
-    assert big.setup().code.decoder().chunk_frames == 1 < big.frames
+    big_fit, big_batch = big.setup().code.decoder().chunk_frames, min(cli_batch, big.frames)
     small = WORKLOADS["simulate_n192_bpsk"]()
-    assert small.setup().code.decoder().chunk_frames >= cli_batch == 64
+    small_fit, small_batch = small.setup().code.decoder().chunk_frames, min(cli_batch, small.frames)
+    assert big_fit == 1 < big_batch and small_batch == 64 < small_fit
+    for cpus in (1, 2, 3):
+        assert _chunk_size(big_batch, big_fit, cpus) == 1
+        assert _chunk_size(small_batch, small_fit, cpus) == -(-small_batch // cpus)

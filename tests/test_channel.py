@@ -571,7 +571,8 @@ def test_threaded_decoding_matches_reference_and_unsplit_decode(pool_sizes):
     code, priors = n192_priors(19, 300)  # 14.7 MB of messages: four chunks of up to 86 frames
     before = set(threading.enumerate())
     got = code.decoder().decode_batch(priors, 30)
-    assert pool_sizes == [2]  # the caller and two pool threads pull the four chunks
+    # the caller and two pool threads pull the three demap chunks, then the four decode chunks
+    assert pool_sizes == [2, 2]
     assert set(threading.enumerate()) <= before  # no pool thread outlives the call
     for g, u in zip(got, code.decoder()._decode(priors, 30)):
         assert np.array_equal(g, u)
@@ -585,12 +586,35 @@ def test_threaded_decoding_matches_reference_and_unsplit_decode(pool_sizes):
         assert len(set(iters[chunk][converged[chunk]])) > 2 and not converged[chunk].all()
 
 
-def test_small_batches_start_no_thread(pool_sizes):
-    code, priors = n192_priors(20, 64)  # 3.1 MB of messages: one 86-frame chunk
-    got = code.decoder().decode_batch(priors, 30)
+def test_one_frame_or_one_cpu_starts_no_thread(pool_sizes, monkeypatch):
+    code, priors = n192_priors(20, 64)
+    dec = code.decoder()
+    unsplit = dec._decode(priors, 30)
+    pool_sizes.clear()
+    for g, u in zip(dec.decode_batch(priors[:1], 30), unsplit):
+        assert np.array_equal(g, u[:1])
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
+    for g, u in zip(dec.decode_batch(priors, 30), unsplit):
+        assert np.array_equal(g, u)
     assert pool_sizes == []
-    for g, w in zip(got, code.decoder()._decode(priors, 30)):
-        assert np.array_equal(g, w)
+
+
+def test_a_64_frame_n192_batch_is_split_over_3_cpus(pool_sizes, monkeypatch):
+    code, priors = n192_priors(20, 64)  # 3.1 MB of messages: under one 86-frame byte fit
+    dec = code.decoder()
+    unsplit = dec._decode(priors, 30)
+    sizes = []
+
+    def recording(chunk, max_iter):
+        sizes.append(len(chunk))
+        return QspaDecoder._decode(dec, chunk, max_iter)
+
+    monkeypatch.setattr(dec, "_decode", recording)
+    pool_sizes.clear()
+    got = dec.decode_batch(priors, 30)
+    assert pool_sizes == [2] and sorted(sizes) == [20, 22, 22]
+    for g, u in zip(got, unsplit):
+        assert np.array_equal(g, u)
 
 
 def test_one_frame_chunks_match_unsplit_decode(pool_sizes, monkeypatch):
@@ -644,7 +668,7 @@ def test_worker_error_reaches_the_caller(pool_sizes, monkeypatch):
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="worker failed"):
         dec.decode_batch(priors, 30)
-    assert pool_sizes == [2]
+    assert pool_sizes == [2, 2]  # one pool demapped the priors
     assert set(threading.enumerate()) <= before  # every pool thread was joined
     assert len(calls) < 300  # the workers stopped before the queue was empty
 
@@ -663,11 +687,70 @@ def test_demapping_in_one_frame_chunks_is_exact(monkeypatch, p, name):
         return observation_weights(received, *args)
 
     monkeypatch.setattr(channel, "observation_weights", recording)
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)  # the chunks follow the byte fit alone
     whole = symbol_likelihoods(rx, mod, 6.0, p, cw.shape[1])
     monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
     split = symbol_likelihoods(rx, mod, 6.0, p, cw.shape[1])
     assert chunks == [5, 1, 1, 1, 1, 1]
     assert np.array_equal(split, whole)
+
+
+@pytest.mark.parametrize("p, name", [(4, "bpsk"), (6, "64qam")])
+def test_threaded_demapping_is_bit_identical(pool_sizes, monkeypatch, p, name):
+    rng = np.random.default_rng(27)
+    mod = make_modulation(name)
+    cw = alignment_codeword(rng, p, mod, 7, 40)
+    rx = modulate_and_transmit(cw, p, mod, 3.0, rng)
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
+    want = symbol_likelihoods(rx, mod, 3.0, p, cw.shape[1]).tobytes()
+    switch = sys.getswitchinterval()
+    for chunk_bytes in (channel._CHUNK_BYTES, 1):  # a fit of all 7 frames, then of one
+        monkeypatch.setattr(channel, "_CHUNK_BYTES", chunk_bytes)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(channel, "_usable_cpus", lambda: cpus)
+            sys.setswitchinterval(1e-5)  # threads interleave often between chunks
+            try:
+                got = symbol_likelihoods(rx, mod, 3.0, p, cw.shape[1])
+            finally:
+                sys.setswitchinterval(switch)
+            assert got.tobytes() == want
+    assert pool_sizes == [1, 2, 1, 2]
+
+
+def test_demap_worker_error_reaches_the_caller(pool_sizes, monkeypatch):
+    rng = np.random.default_rng(28)
+    mod = make_modulation("bpsk")
+    cw = alignment_codeword(rng, 4, mod, 30, 8)
+    rx = modulate_and_transmit(cw, 4, mod, 3.0, rng)
+    monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
+    caller, raised, calls = threading.get_ident(), threading.Event(), []
+
+    def failing(received, *args):
+        calls.append(len(received))
+        if threading.get_ident() != caller:
+            raised.set()
+            raise RuntimeError("demap worker failed")
+        assert raised.wait(30)  # the caller's chunk ends only after a worker failed
+        return observation_weights(received, *args)
+
+    monkeypatch.setattr(channel, "observation_weights", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="demap worker failed"):
+        symbol_likelihoods(rx, mod, 3.0, 4, cw.shape[1])
+    assert pool_sizes == [2]
+    assert set(threading.enumerate()) <= before  # every pool thread was joined
+    assert len(calls) < 30  # the workers stopped before the queue was empty
+
+
+def test_zero_frame_batches_give_empty_arrays():
+    code = toy_code()
+    mod = make_modulation("bpsk")
+    assert code.encode(np.zeros((0, code.k), dtype=int)).shape == (0, code.n)
+    rx = np.zeros((0, code.n * 2), dtype=complex)
+    priors = symbol_likelihoods(rx, mod, 3.0, 2, code.n)
+    assert priors.shape == (0, code.n, 4)
+    words, converged, iters = code.decoder().decode_batch(priors, 10)
+    assert words.shape == (0, code.n) and converged.shape == iters.shape == (0,)
 
 
 @pytest.mark.parametrize("name", ["bpsk", "4qam", "16qam", "64qam", "256qam"])
