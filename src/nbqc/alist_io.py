@@ -34,9 +34,9 @@ import hashlib
 
 import numpy as np
 
-from .base_graph import BaseMatrix, content_lines
+from .base_graph import BaseMatrix, content_lines, lifted_edges
 from .gf import GF
-from .lifter import Lifting, Monomial
+from .lifter import Lifting
 
 MAGIC_FULL = "nbalist full"
 MAGIC_QC = "nbalist qc"
@@ -94,37 +94,38 @@ def serialize_qc(lifting: Lifting) -> str:
         f"poly {lifting.field.primitive_poly}",
         f"{lifting.base.m} {lifting.base.n} {lifting.s} {lifting.field.q}",
     ]
-    for i, j in sorted(lifting.assignment):
-        mono = lifting.assignment[(i, j)]
-        lines.append(f"{i + 1} {j + 1} {mono.shift} {mono.beta}")
+    records = zip(lifting.base.ones(), lifting.shift.tolist(), lifting.beta.tolist())
+    for (i, j), z, beta in sorted(records):  # by row, then column
+        lines.append(f"{i + 1} {j + 1} {z} {beta}")
     return "\n".join(lines) + "\n"
 
 
 def parse_qc(text: str) -> Lifting:
     lines, poly = _header(text, MAGIC_QC, 3)
-    lineno, content = lines[2]
-    m, n, s, q = _ints(lineno, content, 4)
+    dims_line, content = lines[2]
+    m, n, s, q = _ints(dims_line, content, 4)
     if m < 1 or n < 1 or s < 1:
-        raise AlistFormatError(f"line {lineno}: non-positive dimensions")
+        raise AlistFormatError(f"line {dims_line}: non-positive dimensions")
     field = _field_for(lines, q, poly)
 
     bits = np.zeros((m, n), dtype=np.int8)
-    assignment: dict[tuple[int, int], Monomial] = {}
+    records = np.zeros((m, n, 2), dtype=np.int64)  # (shift, beta) per base position
     for lineno, content in lines[3:]:
-        i, j, z, beta = _ints(lineno, content, 4)
+        i, j, z, b = _ints(lineno, content, 4)
         if not (1 <= i <= m and 1 <= j <= n):
             raise AlistFormatError(f"line {lineno}: edge ({i},{j}) out of range")
         if not 0 <= z < s:
             raise AlistFormatError(f"line {lineno}: shift {z} outside [0, {s})")
-        if not 1 <= beta < q:
-            raise AlistFormatError(f"line {lineno}: coefficient {beta} outside [1, {q})")
-        if (i - 1, j - 1) in assignment:
+        if not 1 <= b < q:
+            raise AlistFormatError(f"line {lineno}: coefficient {b} outside [1, {q})")
+        if bits[i - 1, j - 1]:
             raise AlistFormatError(f"line {lineno}: duplicate edge ({i},{j})")
         bits[i - 1, j - 1] = 1
-        assignment[(i - 1, j - 1)] = Monomial(beta, z)
-    if not assignment:
-        raise AlistFormatError("matrix has no edges")
-    return Lifting(BaseMatrix(bits), s, field, assignment)
+        records[i - 1, j - 1] = z, b
+    if not bits.any():
+        raise AlistFormatError(f"line {dims_line}: no edge records")
+    shift, beta = records[lifted_edges(bits)].reshape(-1, 2).T  # base edges in ones() order
+    return Lifting(BaseMatrix(bits), s, field, beta, shift)
 
 
 # ----------------------------------------------------------------------

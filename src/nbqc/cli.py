@@ -216,7 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--depth", type=int, help="maximal cycle length: even, 4 to 12")
     c.add_argument("--trials", type=int, help="redraws per edge")
     c.add_argument("--seed", type=int, help="RNG seed (printed if defaulted)")
-    c.add_argument("--cycle-cap", type=int, dest="cycle_cap")
+    c.add_argument(
+        "--cycle-cap",
+        type=int,
+        help="cycles kept per (smallest column, length) of the enumeration, default 100000; "
+        "reaching it warns and sets enumeration_truncated in the report",
+    )
     c.add_argument("--out", required=True, help="output nbalist path")
     c.set_defaults(func=cmd_construct)
 

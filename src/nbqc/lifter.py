@@ -118,45 +118,52 @@ class ConstructionConfig:
 
 @dataclass(frozen=True)
 class Monomial:
-    """Single-term circulant descriptor beta * x^shift; Lifting checks the ranges."""
+    """beta * x^shift: the item type of Lifting.assignment, kept only for it."""
 
     beta: int
     shift: int
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True, eq=False)
 class Lifting:
-    """A complete per-edge (beta, shift) assignment for a base matrix."""
+    """Per base edge base.ones()[t], its coefficient beta[t] and circulant shift[t].
+
+    Read-only int64 arrays, beta in GF(q)\\{0} and shift in [0, s), checked once.
+    """
 
     base: BaseMatrix
     s: int
     field: GF
-    assignment: dict[tuple[int, int], Monomial]
+    beta: np.ndarray
+    shift: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = set(self.base.ones())
-        if set(self.assignment) != expected:
-            raise ValueError("assignment must cover exactly the nonzero base positions")
-        for (i, j), mono in self.assignment.items():
-            if not 0 <= mono.shift < self.s:
-                raise ValueError(f"shift out of range at ({i}, {j})")
-            if not 1 <= mono.beta < self.field.q:
-                raise ValueError(f"coefficient out of range at ({i}, {j})")
+        n_edges = int(self.base.bits.sum())
+        limits = {"shift": ("shift", 0, self.s), "beta": ("coefficient", 1, self.field.q)}
+        for name, (what, low, high) in limits.items():
+            values = np.asarray(getattr(self, name))
+            if values.dtype.kind not in "iu" or values.shape != (n_edges,):
+                got = f"{values.dtype} of shape {values.shape}"
+                raise ValueError(f"{name} must hold one integer per base edge, got {got}")
+            values = values.astype(np.int64)  # a copy, made read-only
+            bad = np.flatnonzero((values < low) | (values >= high))
+            if bad.size:
+                i, j = self.base.ones()[bad[0]]
+                raise ValueError(f"{what} out of range at ({i}, {j})")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @classmethod
     def trivial(cls, base: BaseMatrix, s: int, field: GF) -> "Lifting":
         """The deterministic baseline: beta=1, shift=0 on every edge."""
-        return cls(base, s, field, {pos: Monomial(1, 0) for pos in base.ones()})
+        n_edges = int(base.bits.sum())
+        return cls(base, s, field, np.ones(n_edges, np.int64), np.zeros(n_edges, np.int64))
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (beta, shift) of every base edge, in base.ones() order."""
-        try:
-            monos = [self.assignment[pos] for pos in self.base.ones()]
-        except KeyError as exc:
-            raise RuntimeError(f"base edge {exc.args[0]} has no assignment") from None
-        beta = np.array([m.beta for m in monos], dtype=np.int64)
-        shift = np.array([m.shift for m in monos], dtype=np.int64)
-        return beta, shift
+    @property
+    def assignment(self) -> dict[tuple[int, int], Monomial]:
+        """{(i, j): Monomial(beta, shift)}; kept only for perfbench/workloads.py's check."""
+        pairs = zip(self.beta.tolist(), self.shift.tolist())
+        return {pos: Monomial(b, z) for pos, (b, z) in zip(self.base.ones(), pairs)}
 
     def expand(self) -> np.ndarray:
         """The (m*s) x (n*s) scalar matrix over GF(q).
@@ -165,9 +172,8 @@ class Lifting:
         edges that lifted_edges places for shift z.
         """
         s = self.s
-        beta, shift = self.edge_arrays()
         out = np.zeros((self.base.m * s, self.base.n * s), dtype=self.field.mul_table.dtype)
-        out[lifted_edges(self.base.bits, shift, s)] = beta[:, None]
+        out[lifted_edges(self.base.bits, self.shift, s)] = self.beta[:, None]
         return out
 
 
@@ -228,14 +234,6 @@ def _log_exp(field: GF) -> tuple[np.ndarray, np.ndarray]:
     return log, exp
 
 
-def _edge_index(base: BaseMatrix) -> np.ndarray:
-    """The index of each base position in base.ones(); -1 off the base."""
-    rows, cols = lifted_edges(base.bits)  # s = 1: the base edges themselves
-    index = np.full(base.bits.shape, -1, dtype=np.int32)
-    index[rows, cols] = np.arange(rows.size).reshape(rows.shape)
-    return index
-
-
 def _cycle_matchings(base: BaseMatrix, cycles) -> tuple[np.ndarray, np.ndarray]:
     """Perfect matchings of every cycle's submatrix over its rows x cols.
 
@@ -251,8 +249,10 @@ def _cycle_matchings(base: BaseMatrix, cycles) -> tuple[np.ndarray, np.ndarray]:
     """
     if not isinstance(cycles, CycleList):
         cycles = CycleList.from_cycles(cycles)
-    edge_index = _edge_index(base)
     pad = int(base.bits.sum())
+    # the index of each base position in base.ones(); -1 off the base
+    edge_index = np.full(base.bits.shape, -1, dtype=np.int32)
+    edge_index[lifted_edges(base.bits)] = np.arange(pad)[:, None]  # s = 1: the base edges
     half = cycles.lengths // 2
     width = int(half.max(initial=0))
     owners = [np.zeros(0, dtype=np.intp)]
@@ -278,13 +278,6 @@ def _cycle_matchings(base: BaseMatrix, cycles) -> tuple[np.ndarray, np.ndarray]:
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
     return owner[order], np.concatenate(found)[order]
-
-
-def _matching_sums(
-    edges: np.ndarray, edge_log: np.ndarray, edge_shift: np.ndarray, order: int, s: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each matching's term: the log (mod q - 1) of its coefficient, and its shift."""
-    return edge_log[edges].sum(axis=1) % order, edge_shift[edges].sum(axis=1) % s
 
 
 def _xor_terms(
@@ -313,13 +306,15 @@ def cycles_eliminated(lifting: Lifting, cycles) -> np.ndarray:
     rows(cycle) x cols(cycle) (see the module docstring).
     """
     log, exp = _log_exp(lifting.field)
-    beta, shift = lifting.edge_arrays()
+    s = lifting.s
     # per-edge arrays plus the padding edge
-    edge_log = np.append(log[beta], 0)
-    edge_shift = np.append(shift, 0)
+    edge_log = np.append(log[lifting.beta], 0)
+    edge_shift = np.append(lifting.shift, 0)
     owner, edges = _cycle_matchings(lifting.base, cycles)
-    log_sum, shift_sum = _matching_sums(edges, edge_log, edge_shift, len(exp), lifting.s)
-    nonzero, _, _ = _xor_terms(owner, shift_sum, exp[log_sum], lifting.s)
+    # each matching's term: the log (mod q - 1) of its coefficient, and its shift
+    log_sum = edge_log[edges].sum(axis=1) % len(exp)
+    shift_sum = edge_shift[edges].sum(axis=1) % s
+    nonzero, _, _ = _xor_terms(owner, shift_sum, exp[log_sum], s)
     eliminated = np.zeros(len(cycles), dtype=bool)
     eliminated[nonzero] = True
     return eliminated
@@ -451,7 +446,6 @@ def greedy_lift(
     if int(h.bits.sum()) == 0:
         raise ValueError("base matrix has no edges to lift")
     field = cfg.make_field()
-    lifting = Lifting.trivial(h, cfg.s, field)
     s = cfg.s
     log, exp = _log_exp(field)
     order = len(exp)
@@ -550,8 +544,8 @@ def greedy_lift(
         log_sum[mine] = (log_sum[mine] + log[beta] - edge_log[e]) % order
         shift_sum[mine] = (shift_sum[mine] + shift - edge_shift[e]) % s
         edge_log[e], edge_shift[e] = log[beta], shift
-        lifting.assignment[(i, j)] = Monomial(beta, shift)
 
+    lifting = Lifting(h, s, field, exp[edge_log[:-1]], edge_shift[:-1])
     cycle_counts: dict[int, tuple[int, int]] = {}
     for k, length in enumerate(range(4, cfg.depth + 1, 2)):
         of_len = slot == k
@@ -573,7 +567,7 @@ def greedy_lift(
 
 def expanded_girth(lifting: Lifting) -> float:
     """Girth of the expanded Tanner graph, read from the per-edge shifts."""
-    return girth(lifting.base, lifting.edge_arrays()[1], lifting.s)
+    return girth(lifting.base, lifting.shift, lifting.s)
 
 
 # ----------------------------------------------------------------------

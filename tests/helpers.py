@@ -21,7 +21,7 @@ import numpy as np
 from nbqc.base_graph import AceVector, BaseMatrix, Cycle, cycle_ace, girth
 from nbqc.channel import _PROB_FLOOR
 from nbqc.gf import GF
-from nbqc.lifter import AcceptedTrial, ConstructionReport, Lifting, Monomial
+from nbqc.lifter import AcceptedTrial, ConstructionReport, Lifting
 
 # ----------------------------------------------------------------------
 # polynomials modulo x^s - 1 over GF(q): the algebra of scaled circulants
@@ -194,10 +194,12 @@ def _cofactor_det(field: GF, s: int, entries) -> RingPoly:
 # the dense circulant algebra of a lifting
 # ----------------------------------------------------------------------
 def _entry(lifting: Lifting, i: int, j: int) -> RingPoly:
-    if not lifting.base.bits[i, j]:
+    bits = lifting.base.bits
+    if not bits[i, j]:
         return RingPoly.zero(lifting.field, lifting.s)
-    mono = lifting.assignment[(i, j)]
-    return RingPoly.monomial_poly(lifting.field, lifting.s, mono.beta, mono.shift)
+    t = int(bits[:, :j].sum() + bits[:i, j].sum())  # (i, j)'s place in column-major order
+    beta, shift = int(lifting.beta[t]), int(lifting.shift[t])
+    return RingPoly.monomial_poly(lifting.field, lifting.s, beta, shift)
 
 
 def poly_matrix(lifting: Lifting) -> PolyMatrix:
@@ -214,6 +216,20 @@ def cycle_submatrix(lifting: Lifting, cycle: Cycle) -> PolyMatrix:
     """
     grid = [[_entry(lifting, i, j) for j in sorted(cycle.cols)] for i in sorted(cycle.rows)]
     return PolyMatrix.from_entries(lifting.field, lifting.s, grid)
+
+
+def example_lifting() -> Lifting:
+    """A GF(4) lifting with s = 3 of the acyclic base [[0, 1, 1], [1, 0, 1]]."""
+    base = BaseMatrix([[0, 1, 1], [1, 0, 1]])
+    # edges (1,0), (0,1), (0,2), (1,2): column-major order
+    return Lifting(base, 3, GF(2), beta=[1, 1, 2, 3], shift=[0, 2, 1, 2])
+
+
+def random_lifting(rng: np.random.Generator, base: BaseMatrix, s: int, field: GF) -> Lifting:
+    """Per base edge in column-major order, a uniform beta in [1, q), then a shift in [0, s)."""
+    draws = [(rng.integers(1, field.q), rng.integers(0, s)) for _ in base.ones()]
+    beta, shift = np.array(draws, dtype=np.int64).reshape(-1, 2).T
+    return Lifting(base, s, field, beta, shift)
 
 
 # ----------------------------------------------------------------------
@@ -533,11 +549,12 @@ def ace_vector(
 def reference_greedy_lift(h: BaseMatrix, cfg) -> tuple[Lifting, ConstructionReport]:
     """The greedy construction, one trial at a time.
 
-    Each trial writes its draw into the lifting, re-tests every cycle whose
-    rows x cols contain the edge with the cofactor determinant, and keeps
-    the draw when the ACE vector is lexicographically no worse; otherwise
-    it restores the previous monomial and statuses.  Cycles come from the
-    exhaustive enumerator, so capped enumerations are out of scope.
+    Each trial lifts with its draw in place of the edge's (beta, shift),
+    re-tests every cycle whose rows x cols contain the edge with the
+    cofactor determinant, and keeps the draw when the ACE vector is
+    lexicographically no worse; otherwise it restores the previous lifting
+    and statuses.  Cycles come from the exhaustive enumerator, so capped
+    enumerations are out of scope.
     """
     field = cfg.make_field()
     lifting = Lifting.trivial(h, cfg.s, field)
@@ -551,24 +568,25 @@ def reference_greedy_lift(h: BaseMatrix, cfg) -> tuple[Lifting, ConstructionRepo
     rng = np.random.default_rng(cfg.rng_seed)
     trials = 0
     accepted = []
-    for j in range(h.n):
-        for i in h.rows_of_col[j]:
-            affected = [c for c in cycles if i in c.rows and j in c.cols]
-            for _ in range(cfg.trials_per_edge):
-                trials += 1
-                draw = Monomial(int(rng.integers(1, cfg.q)), int(rng.integers(0, cfg.s)))
-                before = lifting.assignment[(i, j)]
-                saved = {c: status[c] for c in affected}
-                lifting.assignment[(i, j)] = draw
-                for c in affected:
-                    status[c] = eliminated(c)
-                vec = ace_vector(h, list(status.items()), cfg.depth)
-                if ace_max <= vec:
-                    ace_max = vec
-                    accepted.append(AcceptedTrial((i, j), draw.shift, draw.beta, vec.values))
-                else:
-                    lifting.assignment[(i, j)] = before
-                    status.update(saved)
+    for e, (i, j) in enumerate(h.ones()):
+        affected = [c for c in cycles if i in c.rows and j in c.cols]
+        for _ in range(cfg.trials_per_edge):
+            trials += 1
+            beta, shift = int(rng.integers(1, cfg.q)), int(rng.integers(0, cfg.s))
+            before = lifting
+            saved = {c: status[c] for c in affected}
+            betas, shifts = lifting.beta.copy(), lifting.shift.copy()
+            betas[e], shifts[e] = beta, shift
+            lifting = Lifting(h, cfg.s, field, betas, shifts)
+            for c in affected:
+                status[c] = eliminated(c)
+            vec = ace_vector(h, list(status.items()), cfg.depth)
+            if ace_max <= vec:
+                ace_max = vec
+                accepted.append(AcceptedTrial((i, j), shift, beta, vec.values))
+            else:
+                lifting = before
+                status.update(saved)
 
     counts = {}
     for length in range(4, cfg.depth + 1, 2):

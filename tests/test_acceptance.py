@@ -13,9 +13,11 @@ from helpers import (
     RingPoly,
     brute_force_cycles,
     cycle_submatrix,
+    example_lifting,
     plain_nullity,
     plain_rank,
     random_base_matrix,
+    random_lifting,
 )
 from nbqc.base_graph import BaseMatrix, all_cycles, weight2_base
 from nbqc.channel import (
@@ -32,7 +34,6 @@ from nbqc.gf import GF
 from nbqc.lifter import (
     ConstructionConfig,
     Lifting,
-    Monomial,
     cycle_eliminated,
     distance_upper_bound,
     greedy_lift,
@@ -113,31 +114,19 @@ def test_criterion_4_elimination_oracle_equivalence():
             for _ in range(50):
                 for base, cyc in ((base2, cyc2), (base3, cyc3)):
                     samples += 1
-                    lifting = Lifting(
-                        base,
-                        s,
-                        field,
-                        {
-                            pos: Monomial(
-                                int(rng.integers(1, q)), int(rng.integers(0, s))
-                            )
-                            for pos in base.ones()
-                        },
-                    )
+                    lifting = random_lifting(rng, base, s, field)
                     support_path = cycle_eliminated(lifting, cyc)
                     det = cycle_submatrix(lifting, cyc).determinant()
                     cofactor_path = not det.is_zero()
                     nullity = plain_nullity(field, cycle_submatrix(lifting, cyc).expand())
                     legs = {support_path, cofactor_path}
                     if base is base2:
-                        m11 = lifting.assignment[(0, 0)]
-                        m12 = lifting.assignment[(0, 1)]
-                        m21 = lifting.assignment[(1, 0)]
-                        m22 = lifting.assignment[(1, 1)]
+                        # edges (0,0), (1,0), (0,1), (1,1) in column-major order
+                        b11, b21, b12, b22 = lifting.beta.tolist()
+                        z11, z21, z12, z22 = lifting.shift.tolist()
                         closed_form = not (
-                            (m11.shift + m22.shift - m12.shift - m21.shift) % s == 0
-                            and field.mul(m11.beta, m22.beta)
-                            == field.mul(m12.beta, m21.beta)
+                            (z11 + z22 - z12 - z21) % s == 0
+                            and field.mul(b11, b22) == field.mul(b12, b21)
                         )
                         legs.add(closed_form)
                         legs.add(nullity < s)
@@ -199,19 +188,7 @@ def test_criterion_6_greedy_monotone_and_eliminates():
 
 
 def test_criterion_7_decoder_sanity():
-    f4 = GF(2)
-    base = BaseMatrix([[0, 1, 1], [1, 0, 1]])
-    lifting = Lifting(
-        base,
-        3,
-        f4,
-        {
-            (0, 1): Monomial(1, 2),
-            (0, 2): Monomial(2, 1),
-            (1, 0): Monomial(1, 0),
-            (1, 2): Monomial(3, 2),
-        },
-    )
+    lifting = example_lifting()
     code = build_code(lifting)
     mod = make_modulation("bpsk")
 
@@ -225,7 +202,7 @@ def test_criterion_7_decoder_sanity():
 
     from nbqc.channel import CodeInstance
 
-    toy = CodeInstance(f4, np.array([[1, 2, 0], [0, 1, 3]]))
+    toy = CodeInstance(lifting.field, np.array([[1, 2, 0], [0, 1, 3]]))
     single_ok = True
     for info in range(4):
         cw = toy.encode(np.array([info]))

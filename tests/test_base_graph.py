@@ -12,6 +12,7 @@ from helpers import (
     ace_vector,
     brute_force_cycles,
     cycles_through,
+    example_lifting,
     random_base_matrix,
     random_weighted_base,
 )
@@ -443,20 +444,8 @@ def test_girth_accepts_scalar_matrix():
 def test_expanded_tree_girth_against_enumeration_oracle():
     # lifting an acyclic base yields an acyclic expansion; cross-check the
     # BFS girth against the exhaustive enumerator on the expanded pattern
-    from nbqc.gf import GF
-    from nbqc.lifter import Lifting, Monomial
-
-    lifting = Lifting(
-        EX_BASE,
-        3,
-        GF(2),
-        {
-            (0, 1): Monomial(1, 2),
-            (0, 2): Monomial(2, 1),
-            (1, 0): Monomial(1, 0),
-            (1, 2): Monomial(3, 2),
-        },
-    )
+    lifting = example_lifting()
+    assert lifting.base == EX_BASE
     expanded = lifting.expand()
     assert girth(expanded) == math.inf
     pattern = BaseMatrix((expanded != 0).astype(int))

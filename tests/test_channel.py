@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     _wht,
     direct_xor_convolution,
+    example_lifting,
     plain_rank,
     reference_decode_batch,
     reference_encode,
@@ -35,7 +36,7 @@ from nbqc.channel import (
     wilson_interval,
 )
 from nbqc.gf import GF
-from nbqc.lifter import ConstructionConfig, Lifting, Monomial, greedy_lift
+from nbqc.lifter import ConstructionConfig, Lifting, greedy_lift
 from nbqc.linalg import gf_matmul
 
 F4 = GF(2)
@@ -48,21 +49,6 @@ TOY_H = np.array([[1, 2, 0], [0, 1, 3]])
 
 def toy_code():
     return CodeInstance(F4, TOY_H)
-
-
-def example_lifting():
-    base = BaseMatrix([[0, 1, 1], [1, 0, 1]])
-    return Lifting(
-        base,
-        3,
-        F4,
-        {
-            (0, 1): Monomial(1, 2),
-            (0, 2): Monomial(2, 1),
-            (1, 0): Monomial(1, 0),
-            (1, 2): Monomial(3, 2),
-        },
-    )
 
 
 def high_confidence_priors(code, word, eps=1e-6):
@@ -928,7 +914,7 @@ def test_modulation_divisibility_enforced():
 def test_gf64_with_64qam_smoke():
     f64 = GF(6)
     base = BaseMatrix([[1, 1]])
-    lifting = Lifting(base, 2, f64, {(0, 0): Monomial(5, 1), (0, 1): Monomial(9, 0)})
+    lifting = Lifting(base, 2, f64, beta=[5, 9], shift=[1, 0])
     code = build_code(lifting)
     cfg = SimConfig(
         modulation="64qam", snr_db=(40.0,), max_frames=50, max_errors=10**9, rng_seed=4

@@ -13,6 +13,7 @@ from helpers import (
     plain_nullity,
     poly_matrix,
     random_base_matrix,
+    random_lifting,
     random_weighted_base,
     reference_cycle_matchings,
     reference_greedy_lift,
@@ -41,18 +42,6 @@ ALL2 = BaseMatrix([[1, 1], [1, 1]])
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
-def random_lifting(rng, base, s, field):
-    return Lifting(
-        base,
-        s,
-        field,
-        {
-            pos: Monomial(int(rng.integers(1, field.q)), int(rng.integers(0, s)))
-            for pos in base.ones()
-        },
-    )
-
-
 # ----------------------------------------------------------------------
 # cycle elimination test
 # ----------------------------------------------------------------------
@@ -64,16 +53,14 @@ def test_trivial_assignment_never_eliminates_four_cycles():
 
 def test_gf4_beta_cancellation():
     # coefficients 2,1,1,3 with zero shifts: 2*3 == 1*1 in GF(4), so det = 0
-    lifting = Lifting.trivial(ALL2, 3, F4)
-    lifting.assignment[(0, 0)] = Monomial(2, 0)
-    lifting.assignment[(1, 1)] = Monomial(3, 0)
+    # ALL2's edges in column-major order: (0,0), (1,0), (0,1), (1,1)
+    lifting = Lifting(ALL2, 3, F4, beta=[2, 1, 1, 3], shift=[0, 0, 0, 0])
     (c,) = all_cycles(ALL2, 4)
     assert cycle_eliminated(lifting, c) is False
 
 
 def test_single_shift_eliminates():
-    lifting = Lifting.trivial(ALL2, 3, F4)
-    lifting.assignment[(0, 0)] = Monomial(1, 1)
+    lifting = Lifting(ALL2, 3, F4, beta=[1, 1, 1, 1], shift=[1, 0, 0, 0])
     (c,) = all_cycles(ALL2, 4)
     assert cycle_eliminated(lifting, c) is True
     det = cycle_submatrix(lifting, c).determinant()
@@ -181,26 +168,39 @@ def test_cycle_matchings_match_permutation_search(chunk, monkeypatch):
     assert most > 2  # chords give some cycle more than its two alternating matchings
 
 
-def test_unassigned_edge_raises():
-    lifting = Lifting.trivial(ALL2, 3, F4)
-    (c,) = all_cycles(ALL2, 4)
-    del lifting.assignment[(0, 0)]
-    with pytest.raises(RuntimeError):
-        cycle_eliminated(lifting, c)
-
-
 # ----------------------------------------------------------------------
 # lifting plumbing
 # ----------------------------------------------------------------------
 def test_lifting_validation():
-    with pytest.raises(ValueError, match="cover exactly"):
-        Lifting(ALL2, 3, F4, {(0, 0): Monomial(1, 0)})
     bad = [(1, 5, "shift"), (1, -1, "shift"), (9, 0, "coefficient"), (0, 0, "coefficient")]
     for beta, shift, what in bad:
-        assignment = {pos: Monomial(1, 0) for pos in ALL2.ones()}
-        assignment[(1, 0)] = Monomial(beta, shift)
+        # (1, 0) is ALL2's second edge in column-major order
         with pytest.raises(ValueError, match=rf"^{what} out of range at \(1, 0\)$"):
-            Lifting(ALL2, 3, F4, assignment)
+            Lifting(ALL2, 3, F4, beta=[1, beta, 1, 1], shift=[0, shift, 0, 0])
+
+
+def test_lifting_holds_read_only_per_edge_arrays():
+    base = BaseMatrix([[1, 1, 0], [0, 1, 1]])  # edges (0,0), (0,1), (1,1), (1,2)
+    beta, shift = np.array([3, 1, 2, 2]), np.array([0, 4, 1, 3])
+    lifting = Lifting(base, 5, F4, beta, shift)
+    assert lifting.assignment == {
+        (0, 0): Monomial(3, 0),
+        (0, 1): Monomial(1, 4),
+        (1, 1): Monomial(2, 1),
+        (1, 2): Monomial(2, 3),
+    }
+    assert list(lifting.assignment) == base.ones()
+    for values in (lifting.beta, lifting.shift):
+        assert values.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1
+    beta[0] = 1  # the lifting holds its own copy
+    assert lifting.beta[0] == 3
+    for name in ("beta", "shift"):
+        for wrong in ([1, 1, 1], [1, 1, 1, 1, 1], [1.0, 1.0, 1.0, 1.0]):
+            arrays = {"beta": beta, "shift": shift, name: wrong}
+            with pytest.raises(ValueError, match=f"^{name} must hold one integer per base edge"):
+                Lifting(base, 5, F4, **arrays)
 
 
 def test_trivial_expansion_is_identity_blocks():
@@ -231,7 +231,7 @@ def test_greedy_on_acyclic_base_reports_all_inf():
     assert all(math.isinf(v) for v in report.ace.values)
     assert report.cycle_counts == {4: (0, 0), 6: (0, 0), 8: (0, 0)}
     assert math.isinf(report.expanded_girth)
-    assert set(lifting.assignment) == set(EX_BASE.ones())
+    assert lifting.beta.shape == lifting.shift.shape == (len(EX_BASE.ones()),)
     # with nothing to break, every draw (the first included) is kept
     assert report.trials_accepted == report.trials_total
 
@@ -243,8 +243,7 @@ def test_eliminating_assignments_exist_s3_q4():
     eliminating = 0
     for beta in range(1, 4):
         for shift in range(3):
-            lifting = Lifting.trivial(ALL2, 3, F4)
-            lifting.assignment[(0, 0)] = Monomial(beta, shift)
+            lifting = Lifting(ALL2, 3, F4, beta=[beta, 1, 1, 1], shift=[shift, 0, 0, 0])
             if cycle_eliminated(lifting, c):
                 eliminating += 1
     assert eliminating == 8  # 9 draws, only (beta=1, shift=0) keeps det = 0
@@ -265,11 +264,11 @@ def test_greedy_deterministic_given_seed():
     cfg = ConstructionConfig(s=8, q=16, depth=6, trials_per_edge=30, rng_seed=123)
     l1, r1 = greedy_lift(h, cfg)
     l2, r2 = greedy_lift(h, cfg)
-    assert l1.assignment == l2.assignment
+    assert serialize_qc(l1) == serialize_qc(l2)
     assert r1.ace == r2.ace
     assert r1.accepted_log == r2.accepted_log
     l3, _ = greedy_lift(h, ConstructionConfig(s=8, q=16, depth=6, trials_per_edge=30, rng_seed=124))
-    assert l3.assignment != l1.assignment
+    assert serialize_qc(l3) != serialize_qc(l1)
 
 
 def test_accepted_sequence_non_decreasing_and_final_not_worse():
