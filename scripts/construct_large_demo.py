@@ -13,7 +13,7 @@ import time
 
 from nbqc import ConstructionConfig, distance_upper_bound, greedy_lift, rate_lower_bound
 from nbqc.alist_io import serialize_qc
-from nbqc.base_graph import weight2_base
+from nbqc.base_graph import ace_text, weight2_base
 
 
 def main():
@@ -40,7 +40,7 @@ def main():
         print(f"{m}x{n} base, s={s}: N={n * s}, K>={n * s - m * s}  ({elapsed:.1f}s)")
         print(f"  rate bound {rate_lower_bound(base)}")
         print(f"  distance ceiling {distance_upper_bound(2, m)}")
-        print(f"  ace vector {report.ace}, expanded girth {report.expanded_girth}")
+        print(f"  ace vector {ace_text(report.ace)}, expanded girth {report.expanded_girth}")
         print(f"  wrote {out}")
 
 

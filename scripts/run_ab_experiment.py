@@ -9,7 +9,7 @@ desk-scale setup used in the acceptance suite (GF(16), 4x16 base, s=12).
 import argparse
 
 from nbqc import ConstructionConfig, GF, Lifting, greedy_lift
-from nbqc.base_graph import weight2_base
+from nbqc.base_graph import ace_text, weight2_base
 from nbqc.channel import SimConfig, build_code, run_monte_carlo
 
 
@@ -44,7 +44,7 @@ def main():
     greedy, rep = greedy_lift(base, cfg)
     trivial = Lifting.trivial(base, args.s, field)
     print(f"base {args.rows}x{args.cols}, s={args.s}, GF({args.q})")
-    print(f"greedy ace vector {rep.ace}, expanded girth {rep.expanded_girth}")
+    print(f"greedy ace vector {ace_text(rep.ace)}, expanded girth {rep.expanded_girth}")
 
     sim = SimConfig(
         modulation="bpsk",

@@ -1,14 +1,12 @@
 """Non-binary quasi-cyclic LDPC codes: construction, analysis, simulation."""
 
-from .base_graph import AceVector, BaseMatrix, Cycle, all_cycles, cycle_ace, girth
+from .base_graph import BaseMatrix, Cycle, all_cycles, cycle_ace, girth
 from .channel import CodeInstance, SimConfig, SimResult, build_code, run_monte_carlo
 from .gf import GF, DEFAULT_PRIMITIVE_POLY
 from .lifter import (
     ConstructionConfig,
     ConstructionReport,
     Lifting,
-    Monomial,
-    cycle_eliminated,
     cycles_eliminated,
     distance_upper_bound,
     expanded_girth,
@@ -21,10 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GF",
     "DEFAULT_PRIMITIVE_POLY",
-    "Monomial",
     "BaseMatrix",
     "Cycle",
-    "AceVector",
     "all_cycles",
     "cycle_ace",
     "girth",
@@ -32,7 +28,6 @@ __all__ = [
     "ConstructionConfig",
     "ConstructionReport",
     "greedy_lift",
-    "cycle_eliminated",
     "cycles_eliminated",
     "expanded_girth",
     "rate_lower_bound",

@@ -34,7 +34,7 @@ import hashlib
 
 import numpy as np
 
-from .base_graph import BaseMatrix, content_lines, lifted_edges
+from .base_graph import BaseMatrix, content_lines
 from .gf import GF
 from .lifter import Lifting
 
@@ -108,8 +108,11 @@ def parse_qc(text: str) -> Lifting:
         raise AlistFormatError(f"line {dims_line}: non-positive dimensions")
     field = _field_for(lines, q, poly)
 
-    bits = np.zeros((m, n), dtype=np.int8)
-    records = np.zeros((m, n, 2), dtype=np.int64)  # (shift, beta) per base position
+    try:
+        bits = np.zeros((m, n), dtype=np.int8)
+    except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+        raise AlistFormatError(f"line {dims_line}: {m} x {n} base does not fit in memory") from None
+    records = []
     for lineno, content in lines[3:]:
         i, j, z, b = _ints(lineno, content, 4)
         if not (1 <= i <= m and 1 <= j <= n):
@@ -121,11 +124,14 @@ def parse_qc(text: str) -> Lifting:
         if bits[i - 1, j - 1]:
             raise AlistFormatError(f"line {lineno}: duplicate edge ({i},{j})")
         bits[i - 1, j - 1] = 1
-        records[i - 1, j - 1] = z, b
-    if not bits.any():
+        records.append((i - 1, j - 1, z, b))
+    if not records:
         raise AlistFormatError(f"line {dims_line}: no edge records")
-    shift, beta = records[lifted_edges(bits)].reshape(-1, 2).T  # base edges in ones() order
-    return Lifting(BaseMatrix(bits), s, field, beta, shift)
+    base = BaseMatrix(bits)
+    rows, cols, z, b = np.array(records, dtype=np.int64).T
+    per_edge = np.empty((2, len(records)), dtype=np.int64)  # shift, beta by edge number
+    per_edge[:, base.edge_index[rows, cols]] = z, b
+    return Lifting(base, s, field, per_edge[1], per_edge[0])
 
 
 # ----------------------------------------------------------------------

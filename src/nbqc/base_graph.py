@@ -16,6 +16,7 @@ compared lexicographically and bigger is better.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -37,7 +38,11 @@ def content_lines(text: str) -> list[tuple[int, str]]:
 
 
 class BaseMatrix:
-    """Immutable binary m x n matrix plus Tanner-graph adjacency views."""
+    """Immutable binary m x n matrix with its edges numbered once.
+
+    Edge t joins row edge_rows[t] to column edge_cols[t]; edges are numbered
+    column by column, rows ascending (read-only int arrays).
+    """
 
     def __init__(self, bits) -> None:
         arr = np.array(bits, dtype=np.int8)
@@ -50,16 +55,21 @@ class BaseMatrix:
         self.m, self.n = arr.shape
         self.column_degrees = tuple(int(d) for d in arr.sum(axis=0))
         self.row_degrees = tuple(int(d) for d in arr.sum(axis=1))
-        self.rows_of_col = tuple(
-            tuple(int(i) for i in np.nonzero(arr[:, j])[0]) for j in range(self.n)
-        )
-        self.cols_of_row = tuple(
-            tuple(int(j) for j in np.nonzero(arr[i, :])[0]) for i in range(self.m)
-        )
+        self.edge_cols, self.edge_rows = np.nonzero(arr.T)
+        self.edge_cols.setflags(write=False)
+        self.edge_rows.setflags(write=False)
+
+    @functools.cached_property
+    def edge_index(self) -> np.ndarray:
+        """(m, n) read-only table of the edge number at each 1, -1 at each 0."""
+        index = np.full((self.m, self.n), -1, dtype=np.int32)
+        index[self.edge_rows, self.edge_cols] = np.arange(self.edge_rows.size)
+        index.setflags(write=False)
+        return index
 
     def ones(self) -> list[tuple[int, int]]:
-        """Nonzero positions in column-major order (col, then row ascending)."""
-        return [(i, j) for j in range(self.n) for i in self.rows_of_col[j]]
+        """(row, col) of each edge, in edge order."""
+        return list(zip(self.edge_rows.tolist(), self.edge_cols.tolist()))
 
     # ------------------------------------------------------------------
     # text format: first line "m n", then m lines of n 0/1 entries;
@@ -230,26 +240,26 @@ class _WalkTables:
     def __init__(self, h: BaseMatrix) -> None:
         self.n = h.n
         self.bits = h.bits.astype(bool)
-        # rows_of_col and cols_of_row, flattened: item t is flat[ptr[t]:ptr[t + 1]]
+        # each column's rows and each row's columns: item t is flat[ptr[t]:ptr[t + 1]]
         self.col_ptr = np.concatenate(([0], np.cumsum(h.column_degrees)))
-        self.col_rows = np.nonzero(h.bits.T)[1].astype(np.int32)
+        self.col_rows = h.edge_rows.astype(np.int32)
         self.row_ptr = np.concatenate(([0], np.cumsum(h.row_degrees)))
         self.row_cols = np.nonzero(h.bits)[1].astype(np.int32)
         # after[i, j]: where the columns of row i above column j begin in row_cols
         self.after = self.row_ptr[:-1, None] + np.cumsum(h.bits, axis=1)
         # the steps that close a walk from start column j: from row i to column
         # j2 > j, then back to j through row i2 != i, sorted by (i, j, j2, i2)
-        close = sorted(
-            (i * h.n + j, j2, i2)
-            for i in range(h.m)
-            for j2 in h.cols_of_row[i]
-            for i2 in h.rows_of_col[j2]
-            if i2 != i
-            for j in h.cols_of_row[i2]
-            if j < j2
-        )
-        key, self.close_col, self.close_row = np.array(close, dtype=np.int32).reshape(-1, 3).T
-        self.close_ptr = np.searchsorted(key, np.arange(h.m * h.n + 1))
+        deg = np.diff(self.col_ptr)[h.edge_cols]  # edge e and edge e2 != e of its column j2
+        e = np.repeat(np.arange(deg.size), deg)
+        e2 = ranges(self.col_ptr[h.edge_cols], deg)
+        e, e2 = e[e != e2], e2[e != e2]
+        i2, j2 = h.edge_rows[e2], h.edge_cols[e2]
+        below = self.after[i2, j2] - 1 - self.row_ptr[i2]  # the columns j < j2 of row i2
+        u = np.repeat(np.arange(e.size), below)
+        key = h.edge_rows[e[u]] * h.n + self.row_cols[ranges(self.row_ptr[i2], below)]
+        order = np.lexsort((i2[u], j2[u], key))
+        self.close_col, self.close_row = (a[u[order]].astype(np.int32) for a in (j2, i2))
+        self.close_ptr = np.searchsorted(key[order], np.arange(h.m * h.n + 1))
 
 
 def _grow_walks(tab: _WalkTables, cols: np.ndarray, rows: np.ndarray, max_k: int, out: list):
@@ -379,56 +389,34 @@ def cycle_aces(h: BaseMatrix, cycles: CycleList) -> np.ndarray:
     return excess[cycles.cols].sum(axis=1)
 
 
-@dataclass(frozen=True, order=True)
-class AceVector:
-    """Per-length minimum ACE values (e_4, e_6, ...), inf for empty lengths.
-
-    Vectors of one depth order lexicographically by their values.
-    """
-
-    depth: int
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        check_depth(self.depth)
-        if len(self.values) != self.depth // 2 - 1:
-            raise ValueError(
-                f"expected {self.depth // 2 - 1} entries for depth {self.depth}"
-            )
-        if any(v < 0 for v in self.values):
-            raise ValueError("ACE entries must be non-negative")
-
-    def __str__(self) -> str:
-        body = ", ".join(str(inf_or_int(v)) for v in self.values)
-        return f"({body})"
-
-
 def inf_or_int(v: float) -> int | str:
     """An ACE value or a girth as printed and reported: the integer, or "inf"."""
     return "inf" if math.isinf(v) else int(v)
 
 
-def lifted_edges(pattern, shift=None, s: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(check, variable) indices of every edge of the s-lift of a 0/1 pattern.
+def ace_text(ace: tuple[float, ...]) -> str:
+    """An ACE vector as printed: "(0, inf)", and "(inf)" for one entry."""
+    return "(" + ", ".join(str(inf_or_int(v)) for v in ace) + ")"
 
-    Base edges come in BaseMatrix.ones() order (column by column, rows
-    ascending), one row of the two (edges, s) arrays each.  Base edge
-    (i, j) with circulant shift z joins variable j*s + t to check
-    i*s + (t + z) % s, for t = 0..s-1.  `shift` holds one z per base edge
-    in that order; None means every shift is 0.
+
+def lifted_edges(h: BaseMatrix, shift=None, s: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(check, variable) indices of every edge of the s-lift of a base.
+
+    Base edges come in edge order, one row of the two (edges, s) arrays
+    each.  Base edge (i, j) with circulant shift z joins variable j*s + t
+    to check i*s + (t + z) % s, for t = 0..s-1.  `shift` holds one z per
+    base edge; None means every shift is 0.
     """
-    cols, rows = np.nonzero(pattern.T)
-    z = np.zeros(cols.size, dtype=np.int64) if shift is None else np.asarray(shift)
+    z = 0 if shift is None else np.asarray(shift)[:, None]
     t = np.arange(s)
-    return rows[:, None] * s + (t + z[:, None]) % s, cols[:, None] * s + t
+    return h.edge_rows[:, None] * s + (t + z) % s, h.edge_cols[:, None] * s + t
 
 
-def girth(h, shift=None, s: int = 1) -> float:
+def girth(h: BaseMatrix, shift=None, s: int = 1) -> float:
     """Length of the shortest Tanner-graph cycle; math.inf when acyclic.
 
-    Accepts a BaseMatrix or any 2-D array (nonzero pattern is used).  With
-    `shift` (one circulant shift per base edge, in ones() order) and `s`,
-    the graph is the s-lift of that pattern, built from lifted_edges.
+    With `shift` (one circulant shift per base edge, in edge order) and
+    `s`, the graph is the s-lift of the base, built from lifted_edges.
 
     The BFS starts from the first variable node of each column block.
     Shifting every circulant block by one at once maps the lifted graph
@@ -436,9 +424,8 @@ def girth(h, shift=None, s: int = 1) -> float:
     nodes of a column block; some shortest cycle therefore passes through
     a block's first node.  With s = 1 every variable node is a start.
     """
-    pattern = h.bits if isinstance(h, BaseMatrix) else np.asarray(h) != 0
-    m, n = pattern.shape
-    checks, variables = lifted_edges(pattern, shift, s)
+    m, n = h.m, h.n
+    checks, variables = lifted_edges(h, shift, s)
     total = (n + m) * s  # variable nodes 0..n*s-1, then the check nodes
     adj: list[list[int]] = [[] for _ in range(total)]
     for i, j in zip((checks + n * s).ravel().tolist(), variables.ravel().tolist()):

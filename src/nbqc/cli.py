@@ -23,6 +23,7 @@ from . import __version__
 from .alist_io import AlistFormatError, load_matrix_file, serialize_qc, sha256_of_file
 from .base_graph import (
     BaseMatrix,
+    ace_text,
     all_cycles,
     check_depth,
     cycle_aces,
@@ -74,7 +75,7 @@ def cmd_construct(args) -> int:
     k_floor = n_symbols - base.m * cfg.s
     print(f"wrote {args.out} and {report_path}")
     print(f"N={n_symbols} K>={k_floor} q={cfg.q} s={cfg.s}")
-    print(f"ace vector: {report.ace}")
+    print(f"ace vector: {ace_text(report.ace)}")
     print(f"expanded girth: {inf_or_int(report.expanded_girth)}")
     for length, (unelim, elim) in sorted(report.cycle_counts.items()):
         print(f"length {length}: {elim} eliminated, {unelim} surviving")
@@ -141,7 +142,7 @@ def cmd_analyze(args) -> int:
     code = CodeInstance(field, h)
     print(f"expanded matrix: {h.shape[0]} x {h.shape[1]} over GF({field.q})")
     print(f"N={code.n} K={code.k} rank={code.rank} rate={code.rate:.4f}")
-    print(f"girth: {inf_or_int(girth(h))}")
+    print(f"girth: {inf_or_int(girth(BaseMatrix(h != 0)))}")
     return 0
 
 

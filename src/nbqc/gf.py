@@ -67,9 +67,7 @@ class GF:
         self.q = 1 << p
         self.primitive_poly = primitive_poly
 
-        # exp_table[i] = x^i; doubled length so mul can skip one reduction.
-        self.exp_table = [0] * (2 * self.q)
-        self.log_table = [0] * self.q
+        exp, log = [], [0] * self.q
         val = 1
         for i in range(self.q - 1):
             if val == 1 and i > 0:
@@ -77,15 +75,19 @@ class GF:
                     f"polynomial {bin(primitive_poly)} is not primitive: "
                     f"x has order {i} < {self.q - 1}"
                 )
-            self.exp_table[i] = val
-            self.log_table[val] = i
+            exp.append(val)
+            log[val] = i
             val <<= 1
             if val & self.q:
                 val ^= primitive_poly
         if val != 1:
             raise ValueError(f"polynomial {bin(primitive_poly)} is not primitive")
-        for i in range(self.q - 1, 2 * self.q):
-            self.exp_table[i] = self.exp_table[i - (self.q - 1)]
+        # read-only int64 arrays; exp_table[i] = x^i up to i = 2q - 1, a
+        # doubled length so mul can skip one reduction
+        self.exp_table = np.resize(np.array(exp, dtype=np.int64), 2 * self.q)
+        self.log_table = np.array(log, dtype=np.int64)
+        for table in (self.exp_table, self.log_table):
+            table.setflags(write=False)
 
         self._mul_table: np.ndarray | None = None
 
@@ -96,13 +98,13 @@ class GF:
         """Product in GF(2^p); zero if either operand is zero."""
         if a == 0 or b == 0:
             return 0
-        return self.exp_table[self.log_table[a] + self.log_table[b]]
+        return int(self.exp_table[self.log_table[a] + self.log_table[b]])
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero element."""
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
-        return self.exp_table[(self.q - 1) - self.log_table[a]]
+        return int(self.exp_table[(self.q - 1) - self.log_table[a]])
 
     # ------------------------------------------------------------------
     # vectorized support
@@ -111,9 +113,7 @@ class GF:
     def mul_table(self) -> np.ndarray:
         """Full q x q multiplication table (built lazily, read-only)."""
         if self._mul_table is None:
-            log = np.array(self.log_table, dtype=np.int64)
-            exp = np.array(self.exp_table, dtype=np.int64)
-            table = exp[log[:, None] + log[None, :]]
+            table = self.exp_table[np.add.outer(self.log_table, self.log_table)]
             table[0, :] = 0
             table[:, 0] = 0
             table = table.astype(np.int16)

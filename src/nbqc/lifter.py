@@ -54,7 +54,6 @@ every edge once, before the first draw.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field as dc_field
@@ -63,10 +62,10 @@ from fractions import Fraction
 import numpy as np
 
 from .base_graph import (
-    AceVector,
     BaseMatrix,
     Cycle,
     CycleList,
+    ace_text,
     all_cycles,
     check_depth,
     cycle_aces,
@@ -126,7 +125,7 @@ class Monomial:
 
 @dataclass(frozen=True, eq=False)
 class Lifting:
-    """Per base edge base.ones()[t], its coefficient beta[t] and circulant shift[t].
+    """Per base edge t, its coefficient beta[t] and circulant shift[t].
 
     Read-only int64 arrays, beta in GF(q)\\{0} and shift in [0, s), checked once.
     """
@@ -138,7 +137,7 @@ class Lifting:
     shift: np.ndarray
 
     def __post_init__(self) -> None:
-        n_edges = int(self.base.bits.sum())
+        n_edges = self.base.edge_rows.size
         limits = {"shift": ("shift", 0, self.s), "beta": ("coefficient", 1, self.field.q)}
         for name, (what, low, high) in limits.items():
             values = np.asarray(getattr(self, name))
@@ -148,7 +147,7 @@ class Lifting:
             values = values.astype(np.int64)  # a copy, made read-only
             bad = np.flatnonzero((values < low) | (values >= high))
             if bad.size:
-                i, j = self.base.ones()[bad[0]]
+                i, j = self.base.edge_rows[bad[0]], self.base.edge_cols[bad[0]]
                 raise ValueError(f"{what} out of range at ({i}, {j})")
             values.setflags(write=False)
             object.__setattr__(self, name, values)
@@ -156,7 +155,7 @@ class Lifting:
     @classmethod
     def trivial(cls, base: BaseMatrix, s: int, field: GF) -> "Lifting":
         """The deterministic baseline: beta=1, shift=0 on every edge."""
-        n_edges = int(base.bits.sum())
+        n_edges = base.edge_rows.size
         return cls(base, s, field, np.ones(n_edges, np.int64), np.zeros(n_edges, np.int64))
 
     @property
@@ -173,7 +172,7 @@ class Lifting:
         """
         s = self.s
         out = np.zeros((self.base.m * s, self.base.n * s), dtype=self.field.mul_table.dtype)
-        out[lifted_edges(self.base.bits, self.shift, s)] = self.beta[:, None]
+        out[lifted_edges(self.base, self.shift, s)] = self.beta[:, None]
         return out
 
 
@@ -185,16 +184,16 @@ class AcceptedTrial:
     ace: tuple[float, ...]
 
     def format(self) -> str:
-        body = ", ".join(str(inf_or_int(v)) for v in self.ace)
         return (
             f"edge=({self.edge[0]},{self.edge[1]}) z={self.shift} "
-            f"beta={self.beta} ace=({body})"
+            f"beta={self.beta} ace={ace_text(self.ace)}"
         )
 
 
 @dataclass
 class ConstructionReport:
-    ace: AceVector
+    ace: tuple[float, ...]  # per length 4, 6, ..., depth: min ACE of the open cycles
+    depth: int
     cycle_counts: dict[int, tuple[int, int]]  # length -> (uneliminated, eliminated)
     expanded_girth: float
     seed: int
@@ -205,8 +204,8 @@ class ConstructionReport:
 
     def to_dict(self) -> dict:
         return {
-            "ace": [inf_or_int(v) for v in self.ace.values],
-            "depth": self.ace.depth,
+            "ace": [inf_or_int(v) for v in self.ace],
+            "depth": self.depth,
             "cycle_counts": {
                 str(length): {"uneliminated": u, "eliminated": e}
                 for length, (u, e) in sorted(self.cycle_counts.items())
@@ -223,24 +222,13 @@ class ConstructionReport:
 # ----------------------------------------------------------------------
 # cycle elimination test
 # ----------------------------------------------------------------------
-@functools.cache
-def _log_exp(field: GF) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete logs (mod q - 1) and the powers of the primitive element."""
-    order = field.q - 1
-    log = np.array(field.log_table, dtype=np.int64) % order
-    exp = np.array(field.exp_table[:order], dtype=np.int64)
-    log.setflags(write=False)
-    exp.setflags(write=False)
-    return log, exp
-
-
 def _cycle_matchings(base: BaseMatrix, cycles) -> tuple[np.ndarray, np.ndarray]:
     """Perfect matchings of every cycle's submatrix over its rows x cols.
 
     `cycles` is a CycleList, or a list of Cycle objects to be read as one.
     Returns (owner, edges) sorted by owner: row t of `edges` is a matching
-    of cycles[owner[t]], as indices into base.ones().  Matchings of shorter
-    cycles are padded with the index len(base.ones()), an edge that the
+    of cycles[owner[t]], as base edge numbers.  Matchings of shorter
+    cycles are padded with the number of base edges, an edge that the
     per-edge arrays hold at beta = 1, shift 0.
 
     Partial matchings grow one row of the walk at a time, through each
@@ -249,10 +237,7 @@ def _cycle_matchings(base: BaseMatrix, cycles) -> tuple[np.ndarray, np.ndarray]:
     """
     if not isinstance(cycles, CycleList):
         cycles = CycleList.from_cycles(cycles)
-    pad = int(base.bits.sum())
-    # the index of each base position in base.ones(); -1 off the base
-    edge_index = np.full(base.bits.shape, -1, dtype=np.int32)
-    edge_index[lifted_edges(base.bits)] = np.arange(pad)[:, None]  # s = 1: the base edges
+    pad = base.edge_rows.size
     half = cycles.lengths // 2
     width = int(half.max(initial=0))
     owners = [np.zeros(0, dtype=np.intp)]
@@ -264,7 +249,7 @@ def _cycle_matchings(base: BaseMatrix, cycles) -> tuple[np.ndarray, np.ndarray]:
         for lo in range(0, len(ids), _MATCH_CHUNK):
             chunk = slice(lo, lo + _MATCH_CHUNK)
             # sub[c, t, p]: the edge joining row t to column p of cycle c, -1 if none
-            sub = edge_index[rows[chunk, :, None], cols[chunk, None, :]]
+            sub = base.edge_index[rows[chunk, :, None], cols[chunk, None, :]]
             owner = np.arange(len(sub))
             used = np.zeros(len(sub), dtype=np.intp)  # bit p: column p is matched
             block = np.full((len(sub), width), pad, dtype=np.int32)
@@ -305,14 +290,14 @@ def cycles_eliminated(lifting: Lifting, cycles) -> np.ndarray:
     is the per-shift xor of the matching terms of the submatrix over
     rows(cycle) x cols(cycle) (see the module docstring).
     """
-    log, exp = _log_exp(lifting.field)
+    log, exp = lifting.field.log_table, lifting.field.exp_table
     s = lifting.s
     # per-edge arrays plus the padding edge
     edge_log = np.append(log[lifting.beta], 0)
     edge_shift = np.append(lifting.shift, 0)
     owner, edges = _cycle_matchings(lifting.base, cycles)
     # each matching's term: the log (mod q - 1) of its coefficient, and its shift
-    log_sum = edge_log[edges].sum(axis=1) % len(exp)
+    log_sum = edge_log[edges].sum(axis=1) % (lifting.field.q - 1)
     shift_sum = edge_shift[edges].sum(axis=1) % s
     nonzero, _, _ = _xor_terms(owner, shift_sum, exp[log_sum], s)
     eliminated = np.zeros(len(cycles), dtype=bool)
@@ -347,8 +332,8 @@ def _open_draws(
     (always, cycle, key): `always` marks the cycles open under every draw,
     and cycle[t] stays open under the draw key[t] = log(beta) * s + shift.
     """
-    log, exp = _log_exp(field)
-    order = len(exp)
+    log, exp = field.log_table, field.exp_table
+    order = field.q - 1
     avoid = ~has_e
     ga, za, ba = _xor_terms(local[avoid], shift_sum[avoid], exp[log_sum[avoid]], s)
     gb, zb, bb = _xor_terms(
@@ -379,10 +364,10 @@ def _open_draws(
     return always, g[ok], lg[ok] * s + z[ok]
 
 
-def _ace_minima(counts: np.ndarray, empty: int) -> np.ndarray:
-    """Per row, the first column with a nonzero count; `empty` for an empty row."""
+def _ace_minima(counts: np.ndarray) -> np.ndarray:
+    """Per row, the first column with a nonzero count, as a float; inf for an empty row."""
     present = counts > 0
-    return np.where(present.any(axis=-1), present.argmax(axis=-1), empty)
+    return np.where(present.any(axis=-1), present.argmax(axis=-1), math.inf)
 
 
 def _edge_incidence(owner: np.ndarray, edges: np.ndarray, n_cycles: int, n_edges: int):
@@ -443,30 +428,30 @@ def greedy_lift(
     h: BaseMatrix, cfg: ConstructionConfig
 ) -> tuple[Lifting, ConstructionReport]:
     """Run the randomized greedy edge assignment; reproducible per seed."""
-    if int(h.bits.sum()) == 0:
+    n_edges = h.edge_rows.size
+    if n_edges == 0:
         raise ValueError("base matrix has no edges to lift")
     field = cfg.make_field()
     s = cfg.s
-    log, exp = _log_exp(field)
-    order = len(exp)
+    log, exp = field.log_table, field.exp_table
+    order = field.q - 1
 
     cycles = all_cycles(h, cfg.depth, cap=cfg.cycle_cap)
-    ones = h.ones()
     owner, edges = _cycle_matchings(h, cycles)
     cyc_ptr, cyc, m_ptr, m_rows, m_local, m_uses = _edge_incidence(
-        owner, edges, len(cycles), len(ones)
+        owner, edges, len(cycles), n_edges
     )
     del edges  # the largest array; the trial loop reads the incidence instead
     # every edge starts at beta = 1, shift 0: each matching's term is x^0
-    edge_log = np.zeros(len(ones) + 1, dtype=np.int64)
-    edge_shift = np.zeros(len(ones) + 1, dtype=np.int64)
+    edge_log = np.zeros(n_edges + 1, dtype=np.int64)
+    edge_shift = np.zeros(n_edges + 1, dtype=np.int64)
     log_sum = np.zeros(len(owner), dtype=np.int64)
     shift_sum = np.zeros(len(owner), dtype=np.int64)
 
     ace = cycle_aces(h, cycles)
     slot = cycles.lengths // 2 - 2  # position of the length in the ACE vector
     n_slots = cfg.depth // 2 - 1
-    width = int(ace.max(initial=0)) + 1  # an ACE no cycle has: marks "none open"
+    width = int(ace.max(initial=0)) + 1  # counts per slot, one per ACE value
     cell = slot * width + ace
     cells = n_slots * width
 
@@ -474,17 +459,12 @@ def greedy_lift(
     is_open = np.ones(len(cycles), dtype=bool)
     is_open[nonzero] = False
     counts = np.bincount(cell[is_open], minlength=cells)
-
-    def vector(minima: list[int]) -> tuple[float, ...]:
-        """ACE vector values, compared as tuples: AceVector's order at one depth."""
-        return tuple(math.inf if v == width else v for v in minima)
-
-    ace_max = vector(_ace_minima(counts.reshape(n_slots, width), width).tolist())
+    ace_max = tuple(_ace_minima(counts.reshape(n_slots, width)).tolist())
     rng = np.random.default_rng(cfg.rng_seed)
 
     trials_total = 0
     accepted: list[AcceptedTrial] = []
-    for e, (i, j) in enumerate(ones):
+    for e, (i, j) in enumerate(h.ones()):
         draws = [
             (int(rng.integers(1, cfg.q)), int(rng.integers(0, s)))
             for _ in range(cfg.trials_per_edge)
@@ -517,12 +497,12 @@ def greedy_lift(
             + np.bincount(hit_cell[always], minlength=cells)
         )
         drawn = np.array(sorted(set(keys)))
-        table = np.tile(_ace_minima(fixed.reshape(n_slots, width), width), (drawn.size, 1))
+        table = np.tile(_ace_minima(fixed.reshape(n_slots, width)), (drawn.size, 1))
         at = np.minimum(np.searchsorted(drawn, opened_key), drawn.size - 1)
         use = drawn[at] == opened_key
         kept = hit[opened[use]]
         np.minimum.at(table, (at[use], slot[kept]), ace[kept])
-        vectors = dict(zip(drawn.tolist(), map(vector, table.tolist())))
+        vectors = dict(zip(drawn.tolist(), map(tuple, table.tolist())))
 
         last = None
         for (beta, shift), key in zip(draws, keys):
@@ -553,7 +533,8 @@ def greedy_lift(
         cycle_counts[length] = (still_open, int(np.count_nonzero(of_len)) - still_open)
 
     report = ConstructionReport(
-        ace=AceVector(cfg.depth, ace_max),
+        ace=ace_max,
+        depth=cfg.depth,
         cycle_counts=cycle_counts,
         expanded_girth=expanded_girth(lifting),
         seed=cfg.rng_seed,

@@ -18,7 +18,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from nbqc.base_graph import AceVector, BaseMatrix, Cycle, cycle_ace, girth
+from nbqc.base_graph import BaseMatrix, Cycle, cycle_ace, girth
 from nbqc.channel import _PROB_FLOOR
 from nbqc.gf import GF
 from nbqc.lifter import AcceptedTrial, ConstructionReport, Lifting
@@ -355,20 +355,20 @@ def brute_force_cycles(h: BaseMatrix, depth: int) -> set[Cycle]:
 def cycles_through(h: BaseMatrix, j: int, depth: int) -> list[Cycle]:
     """Every cycle through column j with length <= depth, in depth-first order.
 
-    The walk from column j tries rows in rows_of_col order, then columns in
-    cols_of_row order, and records a cycle as it closes back to j in the
+    The walk from column j tries the rows of its last column, then the
+    columns of that row, each ascending, and records a cycle as it closes back to j in the
     direction whose first row is the smaller.
     """
     found = []
 
     def walk(cols: list[int], rows: list[int]) -> None:
-        for i in h.rows_of_col[cols[-1]]:
+        for i in np.flatnonzero(h.bits[:, cols[-1]]).tolist():
             if i in rows:
                 continue
             if len(cols) >= 2 and h.bits[i, j] and rows[0] < i:
                 found.append(Cycle.from_walk(cols, rows + [i]))
             if 2 * len(cols) < depth:
-                for j2 in h.cols_of_row[i]:
+                for j2 in np.flatnonzero(h.bits[i]).tolist():
                     if j2 not in cols:
                         walk(cols + [j2], rows + [i])
 
@@ -536,14 +536,14 @@ def random_base_matrix(rng: np.random.Generator, m: int, n: int) -> BaseMatrix:
 
 def ace_vector(
     h: BaseMatrix, cycles_with_status: list[tuple[Cycle, bool]], depth: int
-) -> AceVector:
+) -> tuple[float, ...]:
     """Minimum ACE per length over cycles whose eliminated flag is False."""
     best: dict[int, float] = {length: math.inf for length in range(4, depth + 1, 2)}
     for cycle, eliminated in cycles_with_status:
         if eliminated or cycle.length > depth:
             continue
         best[cycle.length] = min(best[cycle.length], cycle_ace(h, cycle))
-    return AceVector(depth, tuple(best[length] for length in range(4, depth + 1, 2)))
+    return tuple(best[length] for length in range(4, depth + 1, 2))
 
 
 def reference_greedy_lift(h: BaseMatrix, cfg) -> tuple[Lifting, ConstructionReport]:
@@ -583,7 +583,7 @@ def reference_greedy_lift(h: BaseMatrix, cfg) -> tuple[Lifting, ConstructionRepo
             vec = ace_vector(h, list(status.items()), cfg.depth)
             if ace_max <= vec:
                 ace_max = vec
-                accepted.append(AcceptedTrial((i, j), shift, beta, vec.values))
+                accepted.append(AcceptedTrial((i, j), shift, beta, vec))
             else:
                 lifting = before
                 status.update(saved)
@@ -594,8 +594,9 @@ def reference_greedy_lift(h: BaseMatrix, cfg) -> tuple[Lifting, ConstructionRepo
         counts[length] = (flags.count(False), flags.count(True))
     report = ConstructionReport(
         ace=ace_max,
+        depth=cfg.depth,
         cycle_counts=counts,
-        expanded_girth=girth(poly_matrix(lifting).expand()),
+        expanded_girth=girth(BaseMatrix(poly_matrix(lifting).expand() != 0)),
         seed=cfg.rng_seed,
         trials_total=trials,
         trials_accepted=len(accepted),

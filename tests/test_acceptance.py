@@ -177,7 +177,7 @@ def test_criterion_6_greedy_monotone_and_eliminates():
         _, rep = greedy_lift(base, cfg)
         seq = [t.ace for t in rep.accepted_log]
         monotone &= all(a <= b for a, b in zip(seq, seq[1:]))
-        if math.isinf(rep.ace.values[0]):
+        if math.isinf(rep.ace[0]):
             wins += 1
     report(
         6,

@@ -66,6 +66,16 @@ def test_exp_log_tables_consistent():
         assert f.exp_table[i + f.q - 1] == f.exp_table[i]
 
 
+def test_tables_read_only_and_scalars_python_ints():
+    f = GF(4)
+    for table in (f.exp_table, f.log_table):
+        assert table.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+    assert len(f.exp_table) == 2 * f.q
+    assert type(f.mul(3, 7)) is int and type(f.inv(5)) is int
+
+
 def test_non_primitive_polynomials_rejected():
     # x^4 + x^3 + x^2 + x + 1 is irreducible but has order 5, not 15
     with pytest.raises(ValueError):

@@ -64,6 +64,17 @@ def test_qc_round_trip_random(seed):
     assert serialize_qc(again) == text
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_qc_records_in_any_order(seed):
+    rng = np.random.default_rng(seed)
+    lines = serialize_qc(random_small_lifting(rng)).splitlines()
+    records = lines[3:]
+    rng.shuffle(records)
+    shuffled = parse_qc("\n".join(lines[:3] + records) + "\n")
+    assert_same_lifting(shuffled, parse_qc("\n".join(lines) + "\n"))
+
+
 def test_qc_parse_errors_carry_line_numbers():
     good = serialize_qc(example_lifting())
     with pytest.raises(AlistFormatError):
@@ -82,6 +93,13 @@ def test_qc_parse_errors_carry_line_numbers():
         parse_qc("nbalist qc\npoly 7\n2 3 3 4\n")
     with pytest.raises(AlistFormatError, match="^line 4: no edge records$"):
         parse_qc("nbalist qc\npoly 7\n# comment\n2 3 3 4\n")
+    # numpy refuses the (m, n) base before allocating it
+    huge = "nbalist qc\npoly 7\n10000000000 10000000000 2 4\n1 1 0 1\n"
+    with pytest.raises(
+        AlistFormatError,
+        match="^line 3: 10000000000 x 10000000000 base does not fit in memory$",
+    ):
+        parse_qc(huge)
 
 
 def test_qc_comments_and_blank_lines_ignored():
