@@ -6,8 +6,9 @@ elimination, map codeword symbols to Gray-labelled constellation points
 of unit average energy, add complex Gaussian noise at a configured Es/N0,
 demap to per-symbol probability vectors over GF(q) (from one table, per
 lcm(p, k)-bit period, of the labels agreeing with each value), and decode with
-probability-domain belief propagation (flooding schedule, per-edge
-normalization, no damping).
+probability-domain belief propagation (flooding schedule, no damping).  A
+variable-to-check message gets a floor added and is scaled to sum 1; a
+check-to-variable message already sums to 1 and is only clamped at the floor.
 
 The encoder keeps the elimination's row transform T (T·H is the reduced
 row-echelon form), not the reduced matrix.  A frame x holding the
@@ -28,12 +29,12 @@ syndrome; batching never changes any individual frame's result.
 The demapper and the decoder both work a batch in frame chunks
 (`_each_chunk`), and every usable CPU pulls chunks from a shared queue
 until it is empty.  A chunk holds at most the frames whose work buffers
-fit the byte budget (the demapper's distances; the decoder's messages
-for the fewest frames that reach 4 MiB, as a smaller working set also
-decodes faster per frame), and at most ceil(frames / usable CPUs), so
-every CPU gets a share of even a small batch.  A chunk is demapped and
-decoded exactly as the whole batch would be, so no frame's result
-depends on the split.
+fit the byte budget (16 bytes per observation and constellation point
+for the demapper; the decoder's messages for the fewest frames that
+reach 4 MiB, as a smaller working set also decodes faster per frame),
+and at most ceil(frames / usable CPUs), so every CPU gets a share of
+even a small batch.  A chunk is demapped and decoded exactly as the
+whole batch would be, so no frame's result depends on the split.
 
 Conventions fixed for reproducibility:
   * field symbols become bits most-significant-bit first, in codeword order;
@@ -70,9 +71,17 @@ _CHUNK_BYTES = 4 << 20
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Modulation:
+    """A square constellation: label gi·len(q_levels) + gq is i_levels[gi] + 1j·q_levels[gq]."""
+
     name: str
     bits_per_symbol: int
-    points: np.ndarray  # complex, indexed by the bit label, unit average energy
+    i_levels: np.ndarray  # in-phase amplitude of each in-phase label
+    q_levels: np.ndarray  # quadrature amplitude of each quadrature label; [0.0] for BPSK
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """Complex points indexed by the bit label, of unit average energy."""
+        return (self.i_levels[:, None] + 1j * self.q_levels).ravel()
 
 
 def _gray_decode(g: int) -> int:
@@ -87,8 +96,7 @@ def make_modulation(name: str) -> Modulation:
     """BPSK or a square Gray-mapped M-QAM for M in {4, 16, 64, 256}."""
     key = name.strip().lower()
     if key == "bpsk":
-        points = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-        return Modulation("bpsk", 1, points)
+        return Modulation("bpsk", 1, np.array([1.0, -1.0]), np.zeros(1))
     if key.endswith("qam"):
         try:
             order = int(key[:-3])
@@ -99,14 +107,8 @@ def make_modulation(name: str) -> Modulation:
             raise ValueError(f"QAM order must be a power of 4, got {order}")
         side = 1 << (k // 2)
         scale = math.sqrt(2.0 * (order - 1) / 3.0)
-        points = np.empty(order, dtype=complex)
-        for label in range(order):
-            gi = label >> (k // 2)
-            gq = label & (side - 1)
-            ai = 2 * _gray_decode(gi) - (side - 1)
-            aq = 2 * _gray_decode(gq) - (side - 1)
-            points[label] = (ai + 1j * aq) / scale
-        return Modulation(f"{order}qam", k, points)
+        levels = np.array([2 * _gray_decode(g) - (side - 1) for g in range(side)]) / scale
+        return Modulation(f"{order}qam", k, levels, levels)
     raise ValueError(f"unknown modulation {name!r}")
 
 
@@ -228,13 +230,32 @@ def observation_weights(
     """Per-observation Gaussian likelihood of each constellation point.
 
     Rows are max-normalized (not summed to 1); only ratios matter
-    downstream, and the normalization keeps very high SNR finite.
+    downstream, and the normalization keeps very high SNR finite.  A
+    point's weight is the product of its in-phase and its quadrature
+    weight, each taken from the squared distances to that axis's levels,
+    less their smallest; BPSK's one quadrature level has weight 1.
     """
-    n0 = 10.0 ** (-snr_db / 10.0)
-    d2 = np.abs(received[..., None] - modulation.points)
+    n0 = max(10.0 ** (-snr_db / 10.0), _PROB_FLOOR)
+    wi = _axis_weights(received.real, modulation.i_levels, n0)
+    grid = np.empty((*received.shape, modulation.i_levels.size, modulation.q_levels.size))
+    if modulation.q_levels.size == 1:
+        grid[..., 0] = np.moveaxis(wi, 0, -1)
+    else:
+        wq = _axis_weights(received.imag, modulation.q_levels, n0)
+        np.einsum("i...,j...->...ij", wi, wq, out=grid)
+    return grid.reshape(*received.shape, -1)
+
+
+def _axis_weights(x: np.ndarray, levels: np.ndarray, n0: float) -> np.ndarray:
+    """exp(-(d2 - min d2) / n0) of the squared distances d2 from x to each level.
+
+    The levels lead, (levels, *x.shape), so the minimum is an element-wise
+    one over a few rows, not a reduction over a short last axis.
+    """
+    d2 = np.subtract.outer(levels, x)
     np.square(d2, out=d2)
-    d2 -= d2.min(axis=-1, keepdims=True)
-    np.divide(d2, -max(n0, _PROB_FLOOR), out=d2)
+    d2 -= d2.min(axis=0)
+    np.divide(d2, -n0, out=d2)
     return np.exp(d2, out=d2)
 
 
@@ -255,8 +276,9 @@ def symbol_likelihoods(
     symbol of a period, which labels agree with each value.
 
     The frames are demapped in chunks (see `_each_chunk`) of at most the
-    frames whose complex distances to the constellation fit in 4 MiB;
-    each chunk writes its rows of the output.
+    frames that have 16 bytes per observation and constellation point
+    within 4 MiB (their float64 weights take 8); each chunk writes its
+    rows of the output.
     """
     rx = np.atleast_2d(received)
     k = modulation.bits_per_symbol
@@ -273,7 +295,6 @@ def symbol_likelihoods(
         out += _PROB_FLOOR
         out /= out.sum(axis=2, keepdims=True)
 
-    # a frame's distances: one complex128 per observation and constellation point
     _each_chunk(frames, _CHUNK_BYTES // (16 * rx.shape[1] * len(modulation.points)), work)
     probs = probs.reshape(frames, n_symbols, q)
     return probs if np.ndim(received) == 2 else probs[0]
@@ -473,12 +494,25 @@ class QspaDecoder:
             self.hadamard = np.kron(self.hadamard, [[1.0, 1.0], [1.0, -1.0]])
         self.hadamard_inv = self.hadamard / q
 
-    def _normalize_edges(self, msgs: np.ndarray) -> np.ndarray:
-        """Floor and normalize each edge's message, in place."""
-        np.maximum(msgs, 0.0, out=msgs)
+    @staticmethod
+    def _normalize_edges(msgs: np.ndarray) -> np.ndarray:
+        """Add the floor to each variable-to-check message and scale it to sum 1, in place.
+
+        The floor keeps a high-degree variable's product from underflowing to all zeros.
+        """
         msgs += _PROB_FLOOR
         msgs /= msgs.sum(axis=2, keepdims=True)
         return msgs
+
+    @staticmethod
+    def _clamp_edges(msgs: np.ndarray) -> np.ndarray:
+        """Raise each check-to-variable message entry to at least the floor, in place.
+
+        No sum and divide: a leave-one-out product's 0th Hadamard coefficient
+        is the product of the incoming messages' sums, each 1, so the message
+        already sums to 1 up to rounding.
+        """
+        return np.maximum(msgs, _PROB_FLOOR, out=msgs)
 
     def _converged(self, hard: np.ndarray) -> np.ndarray:
         return ~gf_sparse_matmul(self.field, hard, *self.edges, self.n_checks).any(axis=1)
@@ -555,16 +589,21 @@ class QspaDecoder:
                 _leave_one_out(u[:, edges].reshape(a, d, -1, q), t[:, edges].reshape(a, d, -1, q))
             np.matmul(t.reshape(-1, q), self.hadamard_inv, out=u.reshape(-1, q))
             np.take(u.reshape(a, -1), self.gather_cv, axis=1, out=t.reshape(a, -1), mode="clip")
-            c2v = self._normalize_edges(t)
+            c2v = self._clamp_edges(t)
 
             # variable-node update and posterior
             for edges, d, owners in self.var_classes:
                 g = c2v[:, edges].reshape(a, d, -1, q)
                 loo = u[:, edges].reshape(a, d, -1, q)
-                _leave_one_out(g, loo)
-                np.multiply(loo[:, -1], g[:, -1], out=post[:a, owners])
-                post[:a, owners] *= priors_a[:a, owners]
-                loo *= priors_a[:a, None, owners]
+                prior = priors_a[:a, owners]
+                if d == 2:  # each slot gets the other's message times the prior
+                    np.multiply(g[:, 0], g[:, 1], out=post[:a, owners])
+                    np.multiply(g[:, ::-1], prior[:, None], out=loo)
+                else:
+                    _leave_one_out(g, loo)
+                    np.multiply(loo[:, -1], g[:, -1], out=post[:a, owners])
+                    loo *= prior[:, None]
+                post[:a, owners] *= prior
             v2c = self._normalize_edges(u)
 
             hard = post[:a].argmax(axis=2)[:, self.var_pos]
@@ -717,8 +756,7 @@ def run_monte_carlo(
             for t in range(b):
                 rng = np.random.default_rng([cfg.rng_seed, frame_counter + t])
                 info[t] = rng.integers(0, code.field.q, size=code.k)
-                noise[t].real = rng.normal(scale=sigma, size=n_obs)
-                noise[t].imag = rng.normal(scale=sigma, size=n_obs)
+                noise[t].real, noise[t].imag = rng.normal(scale=sigma, size=(2, n_obs))
             tx_words = code.encode(info)
             rx = modulate(tx_words, p, modulation) + noise
             priors = symbol_likelihoods(rx, modulation, snr_db, p, code.n)

@@ -473,7 +473,7 @@ def reference_decode_batch(code, priors: np.ndarray, max_iter: int):
     check_starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
 
     def normalize(msgs):
-        msgs = np.maximum(msgs, 0.0) + _PROB_FLOOR
+        msgs = msgs + _PROB_FLOOR
         return msgs / msgs.sum(axis=2, keepdims=True)
 
     def hard_and_converged(post):
@@ -507,7 +507,9 @@ def reference_decode_batch(code, priors: np.ndarray, max_iter: int):
         t = _wht(v2c[:, ear, perm_vc])
         g = np.concatenate([t, ones_pad], axis=1)[:, check_pad, :]
         c2v = _loo_product(g)[:, edge_check, edge_cslot, :]
-        c2v = normalize((_wht(c2v) / q)[:, ear, perm_cv])
+        # check-to-variable messages sum to 1 already (the 0th coefficient is a
+        # product of sums of 1), so they are only clamped at the floor
+        c2v = np.maximum((_wht(c2v) / q)[:, ear, perm_cv], _PROB_FLOOR)
 
         gv = np.concatenate([c2v, ones_pad], axis=1)[:, var_pad, :]
         post = priors_a * gv.prod(axis=2)

@@ -432,23 +432,30 @@ def test_check_node_update_matches_direct_convolution():
     assert word[0][0] == expect_post.argmax()
 
 
+def record_message_steps(monkeypatch, dec, measure):
+    """Patch both message steps of `dec`; per step, the list of measure(output) of each call."""
+    seen = {"_clamp_edges": [], "_normalize_edges": []}  # check-to-variable, variable-to-check
+    for step, values in seen.items():
+
+        def record(msgs, original=getattr(dec, step), values=values):
+            out = original(msgs)
+            values.append(measure(out))
+            return out
+
+        monkeypatch.setattr(dec, step, record)
+    return seen
+
+
 def test_message_normalization_preserved(monkeypatch):
     code = build_code(example_lifting())
     dec = QspaDecoder(code)
-    sums = []
-    original = dec._normalize_edges
-
-    def recording(msgs):
-        out = original(msgs)
-        sums.append(np.abs(out.sum(axis=2) - 1.0).max())
-        return out
-
-    monkeypatch.setattr(dec, "_normalize_edges", recording)
+    # check-to-variable messages are only clamped: they must sum to 1 already
+    sums = record_message_steps(monkeypatch, dec, lambda out: np.abs(out.sum(axis=2) - 1.0).max())
     rng = np.random.default_rng(13)
     priors = rng.random((4, code.n, 4))
     priors /= priors.sum(axis=2, keepdims=True)
     dec.decode_batch(priors, 5)
-    assert sums and max(sums) < 1e-9
+    assert all(seen and max(seen) < 1e-9 for seen in sums.values())
 
 
 def test_batch_equals_single_frame_decoding():
@@ -740,7 +747,7 @@ def test_zero_frame_batches_give_empty_arrays():
 
 
 @pytest.mark.parametrize("name", ["bpsk", "4qam", "16qam", "64qam", "256qam"])
-def test_observation_weights_are_bitwise_the_one_expression(name):
+def test_observation_weights_match_the_one_expression(name):
     mod = make_modulation(name)
     rng = np.random.default_rng(26)
     # n0 is below the floor at 400 dB and 0.0 at 4000 dB, where the floor keeps 0/0 out
@@ -749,7 +756,10 @@ def test_observation_weights_are_bitwise_the_one_expression(name):
         sigma = noise_sigma(snr_db)
         rx = tx + rng.normal(scale=sigma, size=tx.shape) + 1j * rng.normal(scale=sigma, size=tx.shape)
         got = observation_weights(rx, mod, snr_db)
-        assert got.tobytes() == reference_observation_weights(rx, mod, snr_db).tobytes()
+        # the per-axis factors round apart from the 2-D distances, within 1e-12
+        assert np.abs(got - reference_observation_weights(rx, mod, snr_db)).max() <= 1e-12
+        assert np.isfinite(got).all() and got.min() >= 0.0 and got.max() <= 1.0
+        assert (got.max(axis=-1) == 1.0).all()
 
 
 def test_empty_checks_are_always_satisfied():
@@ -767,15 +777,7 @@ def test_q256_decoding_stays_finite_at_high_snr(monkeypatch):
     lifting, _ = greedy_lift(weight2_base(4, 16), cfg)
     code = build_code(lifting)
     dec = code.decoder()
-    finite = []
-    original = dec._normalize_edges
-
-    def recording(msgs):
-        out = original(msgs)
-        finite.append(bool(np.isfinite(out).all()))
-        return out
-
-    monkeypatch.setattr(dec, "_normalize_edges", recording)
+    finite = record_message_steps(monkeypatch, dec, lambda out: bool(np.isfinite(out).all()))
     mod = make_modulation("256qam")
     rng = np.random.default_rng(18)
     for snr_db in (22.0, 60.0, 200.0):
@@ -786,7 +788,7 @@ def test_q256_decoding_stays_finite_at_high_snr(monkeypatch):
         words, converged, iters = dec.decode_batch(priors, 30)
         if snr_db > 22.0:
             assert np.array_equal(words, sent) and converged.all() and not iters.any()
-    assert finite and all(finite)
+    assert all(seen and all(seen) for seen in finite.values())
 
 
 # ----------------------------------------------------------------------
@@ -802,6 +804,44 @@ def test_monte_carlo_deterministic_and_batch_invariant():
     r3 = run_monte_carlo(code, cfg, batch_size=11)
     assert r1 == r2 == r3
     assert r1.to_text() == r3.to_text()
+
+
+def test_monte_carlo_draws_each_frame_from_its_own_stream(monkeypatch):
+    # frame i's stream, default_rng([seed, i]), gives its information symbols,
+    # then the real and then the imaginary part of its noise
+    code = toy_code()
+    n_obs = code.n * 2  # BPSK: one observation per bit of GF(4)
+    batches = []
+    encode, demap = code.encode, channel.symbol_likelihoods
+
+    def recording_encode(info):
+        batches.append([info.copy()])
+        return encode(info)
+
+    def recording_demap(rx, modulation, snr_db, *rest):
+        batches[-1] += [rx.copy(), snr_db]
+        return demap(rx, modulation, snr_db, *rest)
+
+    def silent(words, p, mod):  # the received samples are the noise itself
+        return np.zeros((len(words), n_obs), complex)
+
+    monkeypatch.setattr(code, "encode", recording_encode)
+    monkeypatch.setattr(channel, "symbol_likelihoods", recording_demap)
+    monkeypatch.setattr(channel, "modulate", silent)
+    for seed in (0, 7, 123):
+        batches.clear()
+        cfg = SimConfig(modulation="bpsk", snr_db=(1.0, 4.0), max_frames=3, rng_seed=seed)
+        run_monte_carlo(code, cfg, batch_size=2)
+        index = 0
+        for info, rx, snr_db in batches:
+            sigma = noise_sigma(snr_db)
+            for t in range(len(info)):
+                rng = np.random.default_rng([seed, index])
+                assert np.array_equal(info[t], rng.integers(0, 4, size=code.k))
+                assert np.array_equal(rx[t].real, rng.normal(scale=sigma, size=n_obs))
+                assert np.array_equal(rx[t].imag, rng.normal(scale=sigma, size=n_obs))
+                index += 1
+        assert index == 6  # three frames at each SNR point, in two or more batches
 
 
 def test_monte_carlo_early_stop_is_batch_size_independent():
