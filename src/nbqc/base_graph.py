@@ -156,17 +156,6 @@ class Cycle:
     def length(self) -> int:
         return 2 * len(self.cols)
 
-    @classmethod
-    def from_walk(cls, cols: list[int], rows: list[int]) -> "Cycle":
-        """Orient a closed walk given by its column and row visit sequences."""
-        if len(cols) != len(rows) or len(cols) < 2:
-            raise ValueError("walk needs k >= 2 columns and as many rows")
-        start = cols.index(min(cols))
-        cols, rows = (*cols[start:], *cols[:start]), (*rows[start:], *rows[:start])
-        if rows[0] > rows[-1]:
-            cols, rows = cols[:1] + cols[:0:-1], rows[::-1]
-        return cls(cols, rows)
-
 
 class CycleList(Sequence):
     """Cycles held as padded walk arrays; an item becomes a Cycle only when read.

@@ -144,22 +144,6 @@ def noise_sigma(snr_db: float) -> float:
     return math.sqrt(n0 / 2.0)
 
 
-def modulate_and_transmit(
-    codeword: np.ndarray,
-    p: int,
-    modulation: Modulation,
-    snr_db: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Modulate and add complex AWGN of variance 10^(-snr_db/10)."""
-    tx = modulate(codeword, p, modulation)
-    sigma = noise_sigma(snr_db)
-    noise = rng.normal(scale=sigma, size=tx.shape) + 1j * rng.normal(
-        scale=sigma, size=tx.shape
-    )
-    return tx + noise
-
-
 # ----------------------------------------------------------------------
 # frame chunks
 # ----------------------------------------------------------------------

@@ -47,9 +47,10 @@ e, or open under every draw) and over the cycles that draw keeps open.
 The trials of an edge are therefore scored from one such computation, and
 the accept/reject scan over them in draw order, with the random draws
 made in the same order, reproduces the one-trial-at-a-time construction
-exactly.  Which cycles pass through an edge, their matchings, and which
-of those use the edge depend on the base alone, so they are indexed for
-every edge once, before the first draw.
+exactly.  The matchings and the cycles through each edge depend on the
+base alone, so they are listed once, before the first draw, in two arrays
+sorted by edge; each edge reads from them the matchings of its cycles and
+which of those use it.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from .base_graph import (
 from .gf import DEFAULT_PRIMITIVE_POLY, GF
 
 _MATCH_CHUNK = 1 << 12  # cycles per step of the matching search: bounds its arrays
-_EDGE_CHUNK = 1 << 14  # incidences per step of _edge_incidence: bounds its arrays
 
 
 def check_int(name: str, value, low: int) -> int:
@@ -370,60 +370,6 @@ def _ace_minima(counts: np.ndarray) -> np.ndarray:
     return np.where(present.any(axis=-1), present.argmax(axis=-1), math.inf)
 
 
-def _edge_incidence(owner: np.ndarray, edges: np.ndarray, n_cycles: int, n_edges: int):
-    """Per base edge, the cycles with a matching through it, and their matchings.
-
-    Edge e's cycles are cyc[cyc_ptr[e]:cyc_ptr[e + 1]], ascending.  The
-    matchings of those cycles, cycle by cycle, are the rows of `edges`
-    listed in m_rows[m_ptr[e]:m_ptr[e + 1]]; m_local holds the position
-    of each one's cycle in e's list, and m_uses whether it uses e.  Edges
-    are read in groups of at most _EDGE_CHUNK (edge, matching) incidences,
-    which bounds the temporary arrays.
-    """
-    m_start = np.searchsorted(owner, np.arange(n_cycles))
-    m_count = np.bincount(owner, minlength=n_cycles)
-    flat = edges.ravel()
-    per_edge = np.bincount(flat, minlength=n_edges + 1)[:n_edges]  # not the padding edge
-    bounds = np.concatenate(([0], np.cumsum(per_edge)))
-    # matchings ascending within each edge: a radix sort on the smallest
-    # unsigned type; int32 halves the largest arrays of a depth-12 construction
-    by_edge = np.argsort(flat.astype(np.min_scalar_type(n_edges)), kind="stable")
-    by_edge = by_edge.astype(np.int32)
-    n_cyc, n_rows = np.zeros(n_edges, np.intp), np.zeros(n_edges, np.intp)
-    parts: tuple[list, ...] = ([], [], [], [])
-    e0 = 0
-    while e0 < n_edges:
-        e1 = max(e0 + 1, int(np.searchsorted(bounds, bounds[e0] + _EDGE_CHUNK, "right")) - 1)
-        # the (edge, matching) incidences of edges e0..e1-1, edges counted from e0
-        match = by_edge[bounds[e0] : bounds[e1]] // edges.shape[1]
-        edge = np.repeat(np.arange(e1 - e0), per_edge[e0:e1])
-        cycle = owner[match]
-        # one (edge, cycle) pair wherever either changes
-        new = np.ones(match.size, dtype=bool)
-        new[1:] = (edge[1:] != edge[:-1]) | (cycle[1:] != cycle[:-1])
-        cyc, cyc_edge = cycle[new], edge[new]
-        n_cyc[e0:e1] = np.bincount(cyc_edge, minlength=e1 - e0)
-        local = np.arange(cyc.size) - (np.cumsum(n_cyc[e0:e1]) - n_cyc[e0:e1])[cyc_edge]
-        # each pair's matchings, marking the ones the incidences name
-        count = m_count[cyc]
-        n_rows[e0:e1] = np.bincount(cyc_edge, weights=count, minlength=e1 - e0)
-        first = np.cumsum(count) - count
-        uses = np.zeros(int(count.sum()), dtype=bool)
-        uses[first[np.cumsum(new) - 1] + match - m_start[cycle]] = True
-        rows = ranges(m_start[cyc], count)
-        for part, a in zip(parts, (cyc, rows, np.repeat(local, count), uses)):
-            part.append(a if a.dtype == bool else a.astype(np.int32))
-        e0 = e1
-    joined = []
-    for part in parts:  # each part's pieces freed as soon as they are joined
-        joined.append(np.concatenate(part))
-        part.clear()
-    cyc, m_rows, m_local, m_uses = joined
-    cyc_ptr = np.concatenate(([0], np.cumsum(n_cyc)))
-    m_ptr = np.concatenate(([0], np.cumsum(n_rows)))
-    return cyc_ptr, cyc, m_ptr, m_rows, m_local, m_uses
-
-
 def greedy_lift(
     h: BaseMatrix, cfg: ConstructionConfig
 ) -> tuple[Lifting, ConstructionReport]:
@@ -438,13 +384,27 @@ def greedy_lift(
 
     cycles = all_cycles(h, cfg.depth, cap=cfg.cycle_cap)
     owner, edges = _cycle_matchings(h, cycles)
-    cyc_ptr, cyc, m_ptr, m_rows, m_local, m_uses = _edge_incidence(
-        owner, edges, len(cycles), n_edges
-    )
-    del edges  # the largest array; the trial loop reads the incidence instead
+    # cycle c's matchings are rows m_start[c] .. m_start[c] + m_count[c] - 1
+    m_start = np.searchsorted(owner, np.arange(len(cycles)))
+    m_count = np.bincount(owner, minlength=len(cycles))
+    # the matchings that use edge e, ascending: match[e_ptr[e]:e_ptr[e + 1]]; a radix
+    # sort on the smallest unsigned type leaves the padding edge's entries last
+    flat = edges.ravel()
+    e_ptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=n_edges + 1)[:n_edges])))
+    match = np.argsort(flat.astype(np.min_scalar_type(n_edges)), kind="stable")[: e_ptr[-1]]
+    match = match.astype(np.int32) // edges.shape[1]
+    del flat, edges  # the largest arrays; the trial loop reads match instead
+    # the cycles through edge e, ascending: cyc[cyc_ptr[e]:cyc_ptr[e + 1]]
+    cycle = owner[match]
+    new = np.ones(cycle.size, dtype=bool)  # where the cycle or the edge changes
+    new[1:] = cycle[1:] != cycle[:-1]
+    new[e_ptr[:-1][np.diff(e_ptr) > 0]] = True
+    cyc = cycle[new].astype(np.int32)
+    cyc_ptr = np.concatenate(([0], np.cumsum(new)))[e_ptr]
+    del cycle, new
     # every edge starts at beta = 1, shift 0: each matching's term is x^0
-    edge_log = np.zeros(n_edges + 1, dtype=np.int64)
-    edge_shift = np.zeros(n_edges + 1, dtype=np.int64)
+    edge_log = np.zeros(n_edges, dtype=np.int64)
+    edge_shift = np.zeros(n_edges, dtype=np.int64)
     log_sum = np.zeros(len(owner), dtype=np.int64)
     shift_sum = np.zeros(len(owner), dtype=np.int64)
 
@@ -455,28 +415,30 @@ def greedy_lift(
     cell = slot * width + ace
     cells = n_slots * width
 
-    nonzero, _, _ = _xor_terms(owner, shift_sum, exp[log_sum], s)
-    is_open = np.ones(len(cycles), dtype=bool)
-    is_open[nonzero] = False
+    # the x^0 terms of an even number of matchings cancel
+    is_open = m_count % 2 == 0
     counts = np.bincount(cell[is_open], minlength=cells)
     ace_max = tuple(_ace_minima(counts.reshape(n_slots, width)).tolist())
     rng = np.random.default_rng(cfg.rng_seed)
+    # one call draws an edge's trials as (beta, shift) pairs, in the order that
+    # alternating scalar draws of beta and shift would make them
+    n_trials = cfg.trials_per_edge
+    low, high = np.tile([1, 0], n_trials), np.tile([cfg.q, s], n_trials)
 
-    trials_total = 0
     accepted: list[AcceptedTrial] = []
     for e, (i, j) in enumerate(h.ones()):
-        draws = [
-            (int(rng.integers(1, cfg.q)), int(rng.integers(0, s)))
-            for _ in range(cfg.trials_per_edge)
-        ]
-        trials_total += len(draws)
-        keys = [int(log[beta]) * s + shift for beta, shift in draws]
+        draws = rng.integers(low, high).reshape(n_trials, 2)
+        keys = log[draws[:, 0]] * s + draws[:, 1]
 
         hit = cyc[cyc_ptr[e] : cyc_ptr[e + 1]]
-        through = slice(m_ptr[e], m_ptr[e + 1])
-        rows, uses = m_rows[through], m_uses[through]
+        mine = match[e_ptr[e] : e_ptr[e + 1]]
+        # the matchings of e's cycles, cycle by cycle: ascending, so e's own are found by search
+        per_cycle = m_count[hit]
+        rows = ranges(m_start[hit], per_cycle)
+        uses = np.zeros(rows.size, dtype=bool)
+        uses[np.searchsorted(rows, mine)] = True
         always, opened, opened_key = _open_draws(
-            m_local[through],
+            np.repeat(np.arange(hit.size), per_cycle),
             uses,
             log_sum[rows],
             shift_sum[rows],
@@ -496,7 +458,7 @@ def greedy_lift(
             - np.bincount(hit_cell[was_open], minlength=cells)
             + np.bincount(hit_cell[always], minlength=cells)
         )
-        drawn = np.array(sorted(set(keys)))
+        drawn = np.unique(keys)
         table = np.tile(_ace_minima(fixed.reshape(n_slots, width)), (drawn.size, 1))
         at = np.minimum(np.searchsorted(drawn, opened_key), drawn.size - 1)
         use = drawn[at] == opened_key
@@ -505,7 +467,7 @@ def greedy_lift(
         vectors = dict(zip(drawn.tolist(), map(tuple, table.tolist())))
 
         last = None
-        for (beta, shift), key in zip(draws, keys):
+        for (beta, shift), key in zip(draws.tolist(), keys.tolist()):
             vec = vectors[key]
             if ace_max <= vec:
                 ace_max = vec
@@ -520,12 +482,11 @@ def greedy_lift(
         counts += np.bincount(hit_cell[now_open], minlength=cells)
         counts -= np.bincount(hit_cell[was_open], minlength=cells)
         is_open[hit] = now_open
-        mine = rows[uses]
         log_sum[mine] = (log_sum[mine] + log[beta] - edge_log[e]) % order
         shift_sum[mine] = (shift_sum[mine] + shift - edge_shift[e]) % s
         edge_log[e], edge_shift[e] = log[beta], shift
 
-    lifting = Lifting(h, s, field, exp[edge_log[:-1]], edge_shift[:-1])
+    lifting = Lifting(h, s, field, exp[edge_log], edge_shift)
     cycle_counts: dict[int, tuple[int, int]] = {}
     for k, length in enumerate(range(4, cfg.depth + 1, 2)):
         of_len = slot == k
@@ -538,7 +499,7 @@ def greedy_lift(
         cycle_counts=cycle_counts,
         expanded_girth=expanded_girth(lifting),
         seed=cfg.rng_seed,
-        trials_total=trials_total,
+        trials_total=n_trials * n_edges,
         trials_accepted=len(accepted),
         accepted_log=accepted,
         enumeration_truncated=cycles.truncated,

@@ -3,13 +3,15 @@
 Deliberately written without reusing the library's internals: carry-less
 field multiplication, plain-Python Gaussian elimination, the dense RREF
 and the systematic encoder built on it, the demapper's weights in one
-expression, a permutation based cycle enumerator, a plain recursive
-cycle walk and a permutation based search for a cycle's matchings, a
-direct xor-convolution, the butterfly Walsh-Hadamard transform and the
-padded-slot FFT-QSPA decoder, the dense circulant algebra (polynomials mod
-x^s - 1, their cofactor determinant and their block-by-block expansion),
-the ACE vector of flagged cycles, and a one-trial-at-a-time greedy
-construction on the cofactor determinant.
+expression, the modulated AWGN channel that the tests transmit over, a
+permutation based cycle enumerator and a plain recursive cycle walk (both
+orienting their walks with cycle_from_walk), a permutation based search
+for a cycle's matchings, a direct xor-convolution, the butterfly
+Walsh-Hadamard transform and the padded-slot FFT-QSPA decoder, the dense
+circulant algebra (polynomials mod x^s - 1, their cofactor determinant
+and their block-by-block expansion), the ACE vector of flagged cycles,
+and a one-trial-at-a-time greedy construction on the cofactor
+determinant.
 """
 
 import math
@@ -19,7 +21,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from nbqc.base_graph import BaseMatrix, Cycle, cycle_ace, girth
-from nbqc.channel import _PROB_FLOOR
+from nbqc.channel import _PROB_FLOOR, Modulation, modulate, noise_sigma
 from nbqc.gf import GF
 from nbqc.lifter import AcceptedTrial, ConstructionReport, Lifting
 
@@ -325,6 +327,33 @@ def reference_observation_weights(received, modulation, snr_db) -> np.ndarray:
     return np.exp(-d2 / max(n0, _PROB_FLOOR))
 
 
+def modulate_and_transmit(
+    codeword: np.ndarray,
+    p: int,
+    modulation: Modulation,
+    snr_db: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Modulate and add complex AWGN of variance 10^(-snr_db/10)."""
+    tx = modulate(codeword, p, modulation)
+    sigma = noise_sigma(snr_db)
+    noise = rng.normal(scale=sigma, size=tx.shape) + 1j * rng.normal(
+        scale=sigma, size=tx.shape
+    )
+    return tx + noise
+
+
+def cycle_from_walk(cols: list[int], rows: list[int]) -> Cycle:
+    """Orient a closed walk given by its column and row visit sequences (see Cycle)."""
+    if len(cols) != len(rows) or len(cols) < 2:
+        raise ValueError("walk needs k >= 2 columns and as many rows")
+    start = cols.index(min(cols))
+    cols, rows = (*cols[start:], *cols[:start]), (*rows[start:], *rows[:start])
+    if rows[0] > rows[-1]:
+        cols, rows = cols[:1] + cols[:0:-1], rows[::-1]
+    return Cycle(cols, rows)
+
+
 def brute_force_cycles(h: BaseMatrix, depth: int) -> set[Cycle]:
     """Every cycle of length <= depth by exhaustive column/row selection."""
     found: set[Cycle] = set()
@@ -348,7 +377,7 @@ def brute_force_cycles(h: BaseMatrix, depth: int) -> set[Cycle]:
                     continue
                 for row_choice in product(*row_options):
                     if len(set(row_choice)) == k:
-                        found.add(Cycle.from_walk(list(cols_seq), list(row_choice)))
+                        found.add(cycle_from_walk(list(cols_seq), list(row_choice)))
     return found
 
 
@@ -366,7 +395,7 @@ def cycles_through(h: BaseMatrix, j: int, depth: int) -> list[Cycle]:
             if i in rows:
                 continue
             if len(cols) >= 2 and h.bits[i, j] and rows[0] < i:
-                found.append(Cycle.from_walk(cols, rows + [i]))
+                found.append(cycle_from_walk(cols, rows + [i]))
             if 2 * len(cols) < depth:
                 for j2 in np.flatnonzero(h.bits[i]).tolist():
                     if j2 not in cols:

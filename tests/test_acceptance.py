@@ -14,6 +14,7 @@ from helpers import (
     brute_force_cycles,
     cycle_submatrix,
     example_lifting,
+    modulate_and_transmit,
     plain_nullity,
     plain_rank,
     random_base_matrix,
@@ -25,7 +26,6 @@ from nbqc.channel import (
     build_code,
     make_modulation,
     modulate,
-    modulate_and_transmit,
     run_monte_carlo,
     symbol_likelihoods,
 )

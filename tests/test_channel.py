@@ -12,6 +12,7 @@ from helpers import (
     _wht,
     direct_xor_convolution,
     example_lifting,
+    modulate_and_transmit,
     plain_rank,
     reference_decode_batch,
     reference_encode,
@@ -27,7 +28,6 @@ from nbqc.channel import (
     build_code,
     make_modulation,
     modulate,
-    modulate_and_transmit,
     noise_sigma,
     observation_weights,
     run_monte_carlo,

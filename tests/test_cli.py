@@ -40,8 +40,9 @@ def test_construct_round_trips(tmp_path, capsys):
 
 
 # digests of the files the one-trial-at-a-time construction wrote for the
-# acceptance-criterion-8 code, and of the files the permutation-search
-# matchings gave for the paper's 8x66 base at depth 10
+# acceptance-criterion-8 code, of the files the permutation-search
+# matchings gave for the paper's 8x66 base at depth 10, and of that base at
+# depth 12, where the trial loop's per-edge arrays are largest
 CONSTRUCT_DIGESTS = [
     pytest.param(
         None,
@@ -56,6 +57,13 @@ CONSTRUCT_DIGESTS = [
         "a9dc5f5e78e5b39d3e20047d2e65fa19ed5e4a99beded1d964834ad547d4c12d",
         "e389e8e06ccac1eecd420683a05326a251f6dce478a2d4953d862d45a59918ea",
         id="8x66_s70_q64_d10",
+    ),
+    pytest.param(
+        "base_8x66.txt",
+        ["--s", "70", "--q", "64", "--depth", "12", "--trials", "10", "--seed", "1"],
+        "a9dc5f5e78e5b39d3e20047d2e65fa19ed5e4a99beded1d964834ad547d4c12d",
+        "a654a1699a103d21c9703a8c24e814c469c89801d81e734802e9d806eada4821",
+        id="8x66_s70_q64_d12",
     ),
 ]
 

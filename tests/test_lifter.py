@@ -340,23 +340,6 @@ def test_greedy_matches_sequential_reference(kind, q, s, depth, seed):
     )
 
 
-@pytest.mark.parametrize("chunk", [1, 5])
-def test_greedy_lift_is_the_same_in_small_incidence_chunks(chunk, monkeypatch):
-    rng = np.random.default_rng(chunk)
-    cases = [
-        (random_weighted_base(rng, 5, [int(w) for w in rng.integers(1, 4, size=7)]), 8),
-        (weight2_base(4, 9), 6),
-    ]
-    for h, depth in cases:
-        cfg = ConstructionConfig(s=7, q=16, depth=depth, trials_per_edge=4, rng_seed=chunk)
-        whole = greedy_lift(h, cfg)
-        with monkeypatch.context() as patch:  # edges read a few at a time
-            patch.setattr(lifter, "_EDGE_CHUNK", chunk)
-            pieces = greedy_lift(h, cfg)
-        assert serialize_qc(pieces[0]) == serialize_qc(whole[0])
-        assert pieces[1].to_dict() == whole[1].to_dict()
-
-
 def test_greedy_lift_builds_no_cycle_objects(monkeypatch):
     built = []
     init = Cycle.__init__

@@ -1,12 +1,13 @@
-"""The example scripts run end to end, each in its own interpreter.
+"""The example script runs end to end, in its own interpreter.
 
-The scripts are the callers outside the tests of build_code, weight2_base,
-Lifting.trivial, both code-parameter bounds and run_monte_carlo's
-batch_size; running them keeps those library entry points honest.
+It is the caller outside the tests of build_code, weight2_base,
+Lifting.trivial and run_monte_carlo's batch_size; running it keeps those
+library entry points honest.  The code-parameter bounds have the CLI as
+their only caller outside the tests, and the `nbqc analyze` checks
+in test_cli cover them.
 """
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,26 +26,6 @@ def run_script(name, *args, cwd):
         text=True,
         timeout=120,
     )
-
-
-def test_construct_large_demo(tmp_path):
-    args = ["--depth", "4", "--outdir", str(tmp_path)]
-    proc = run_script("construct_large_demo.py", *args, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 10
-    codes = [(4, 33, 140, 40), (8, 66, 70, 1152)]
-    for block, (m, n, s, ceiling) in zip((lines[:5], lines[5:]), codes):
-        out = f"{tmp_path}/gf64_{m}x{n}_s{s}.alist"
-        assert re.fullmatch(rf"{m}x{n} base, s={s}: N=4620, K>=4060  \(\d+\.\ds\)", block[0])
-        assert block[1:] == [
-            "  rate bound 29/33",
-            f"  distance ceiling {ceiling}",
-            "  ace vector (inf), expanded girth 6",
-            f"  wrote {out}",
-        ]
-        assert Path(out).read_text().startswith("nbalist qc\n")
-        assert Path(out + ".report.json").is_file()
 
 
 def test_run_ab_experiment(tmp_path):
