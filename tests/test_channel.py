@@ -746,6 +746,29 @@ def test_zero_frame_batches_give_empty_arrays():
     assert words.shape == (0, code.n) and converged.shape == iters.shape == (0,)
 
 
+@pytest.mark.parametrize("max_iter", [-1, 2.5, True])
+def test_decode_batch_rejects_a_bad_max_iter(max_iter):
+    code = toy_code()
+    priors = high_confidence_priors(code, np.array([1, 3, 1]))[None]
+    with pytest.raises(ValueError, match=r"max_iter must be an integer >= 0, got "):
+        code.decoder().decode_batch(priors, max_iter)
+
+
+def test_decode_batch_takes_a_prior_function_with_its_frame_count():
+    code = toy_code()
+    dec = code.decoder()
+    priors = np.stack([high_confidence_priors(code, np.array([t, 3 * t % 4, t])) for t in range(4)])
+    chunked = dec.decode_batch(lambda lo, hi: priors[lo:hi], 5, 4)
+    for g, w in zip(chunked, dec.decode_batch(priors, 5)):
+        assert np.array_equal(g, w)
+    with pytest.raises(ValueError, match="frames must be an integer >= 0, got None"):
+        dec.decode_batch(lambda lo, hi: priors[lo:hi], 5)
+    with pytest.raises(ValueError, match="prior shape does not match the code"):
+        dec.decode_batch(lambda lo, hi: priors[lo:hi, :2], 5, 4)
+    with pytest.raises(ValueError, match="frames is given only with a prior function"):
+        dec.decode_batch(priors, 5, 4)
+
+
 @pytest.mark.parametrize("name", ["bpsk", "4qam", "16qam", "64qam", "256qam"])
 def test_observation_weights_match_the_one_expression(name):
     mod = make_modulation(name)
@@ -815,11 +838,12 @@ def test_monte_carlo_draws_each_frame_from_its_own_stream(monkeypatch):
     encode, demap = code.encode, channel.symbol_likelihoods
 
     def recording_encode(info):
-        batches.append([info.copy()])
+        batches.append([info.copy(), []])
         return encode(info)
 
     def recording_demap(rx, modulation, snr_db, *rest):
-        batches[-1] += [rx.copy(), snr_db]
+        batches[-1][1].append(rx.copy())
+        batches[-1][2:] = [snr_db]
         return demap(rx, modulation, snr_db, *rest)
 
     def silent(words, p, mod):  # the received samples are the noise itself
@@ -828,12 +852,17 @@ def test_monte_carlo_draws_each_frame_from_its_own_stream(monkeypatch):
     monkeypatch.setattr(code, "encode", recording_encode)
     monkeypatch.setattr(channel, "symbol_likelihoods", recording_demap)
     monkeypatch.setattr(channel, "modulate", silent)
+    # one-frame chunks demapped in frame order: a batch's samples are its calls' in turn
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
     for seed in (0, 7, 123):
         batches.clear()
         cfg = SimConfig(modulation="bpsk", snr_db=(1.0, 4.0), max_frames=3, rng_seed=seed)
         run_monte_carlo(code, cfg, batch_size=2)
         index = 0
-        for info, rx, snr_db in batches:
+        for info, chunks, snr_db in batches:
+            assert [len(rx) for rx in chunks] == [1] * len(info)
+            rx = np.concatenate(chunks)
             sigma = noise_sigma(snr_db)
             for t in range(len(info)):
                 rng = np.random.default_rng([seed, index])
@@ -864,15 +893,121 @@ def test_monte_carlo_early_stop_sizes_batches_by_missing_errors(monkeypatch):
     decoded = []
     original = QspaDecoder.decode_batch
 
-    def counting(self, priors, max_iter):
-        decoded.append(len(priors))
-        return original(self, priors, max_iter)
+    def counting(self, priors, max_iter, frames):
+        decoded.append(frames)
+        return original(self, priors, max_iter, frames)
 
     monkeypatch.setattr(QspaDecoder, "decode_batch", counting)
     got = run_monte_carlo(toy_code(), cfg, batch_size=400)
     assert got == want and (got.points[0].frames, got.points[0].errors) == (89, 20)
     # max_errors frames first, then the 16 missing errors at 4 errors in 20 frames
     assert decoded == [20, 80]
+
+
+def monte_carlo_decodes(monkeypatch, code, cfg, whole_batch):
+    """run_monte_carlo's results text and each batch's decoder outputs.
+
+    With `whole_batch`, each batch is demapped at once and its prior array
+    decoded, as the driver did before every decoding chunk demapped its own
+    frames.
+    """
+    original, outputs = QspaDecoder.decode_batch, []
+
+    def recording(self, priors, max_iter, frames):
+        if whole_batch:
+            got = original(self, priors(0, frames), max_iter)
+        else:
+            got = original(self, priors, max_iter, frames)
+        outputs.append(got)
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(QspaDecoder, "decode_batch", recording)
+        text = run_monte_carlo(code, cfg).to_text()
+    return text, outputs
+
+
+def n192_code():
+    return build_code(load_matrix_file(PERFBENCH_INPUTS / "gf16_4x16_s12.alist"))
+
+
+@pytest.mark.parametrize("case", ["toy", "n192"])
+def test_monte_carlo_chunk_demapping_equals_whole_batch_demapping(monkeypatch, case):
+    if case == "toy":
+        code, snr_db, frames = toy_code(), (-4.0, 0.0), 150
+    else:
+        code, snr_db, frames = n192_code(), (1.5,), 96
+    cfg = SimConfig(
+        modulation="bpsk", snr_db=snr_db, max_frames=frames, max_errors=10**9, rng_seed=4
+    )
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
+    want_text, want = monte_carlo_decodes(monkeypatch, code, cfg, whole_batch=True)
+    # frames that iterate and frames in error are compared too
+    assert (np.concatenate([iters for _, _, iters in want]) > 1).any()
+    assert int(want_text.splitlines()[1].split()[2]) > 0
+    switch = sys.getswitchinterval()
+    for chunk_bytes in (channel._CHUNK_BYTES, 1):
+        monkeypatch.setattr(channel, "_CHUNK_BYTES", chunk_bytes)
+        for cpus in (1, 3):
+            monkeypatch.setattr(channel, "_usable_cpus", lambda: cpus)
+            sys.setswitchinterval(1e-5)  # workers interleave often inside their chunks
+            try:
+                text, got = monte_carlo_decodes(monkeypatch, code, cfg, whole_batch=False)
+            finally:
+                sys.setswitchinterval(switch)
+            assert text == want_text and len(got) == len(want)
+            for outs, want_outs in zip(got, want):
+                for g, w in zip(outs, want_outs):
+                    assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("chunk_frames", [86, 8])
+def test_monte_carlo_demaps_one_decoding_chunk_per_call(pool_sizes, monkeypatch, chunk_frames):
+    code = n192_code()
+    dec = code.decoder()
+    # 49152 bytes of messages per frame: 384 edges of 16 float64 values
+    monkeypatch.setattr(channel, "_CHUNK_BYTES", (chunk_frames - 1) * 49152 + 1)
+    assert dec.chunk_frames == chunk_frames
+    demap, encode = channel.symbol_likelihoods, code.encode
+    sizes, batches = [], []
+
+    def recording_demap(rx, *args):
+        sizes.append(len(rx))
+        return demap(rx, *args)
+
+    def recording_encode(info):
+        batches.append(len(info))
+        return encode(info)
+
+    monkeypatch.setattr(channel, "symbol_likelihoods", recording_demap)
+    monkeypatch.setattr(code, "encode", recording_encode)
+    cfg = SimConfig(modulation="bpsk", snr_db=(5.2,), max_frames=200, rng_seed=8)
+    assert run_monte_carlo(code, cfg).points[0].frames == 200
+    assert batches == [64, 64, 64, 8]
+    assert sum(sizes) == 200 and max(sizes) <= chunk_frames
+    assert pool_sizes == [2] * 4  # one pool per batch: the demapping inside a chunk starts none
+
+
+def test_monte_carlo_demap_error_in_a_worker_reaches_the_caller(pool_sizes, monkeypatch):
+    monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
+    caller, raised, calls = threading.get_ident(), threading.Event(), []
+
+    def failing(received, *args):
+        calls.append(len(received))
+        if threading.get_ident() != caller:
+            raised.set()
+            raise RuntimeError("demap worker failed")
+        assert raised.wait(30)  # the caller's chunk ends only after a worker failed
+        return observation_weights(received, *args)
+
+    monkeypatch.setattr(channel, "observation_weights", failing)
+    before = set(threading.enumerate())
+    cfg = SimConfig(modulation="bpsk", snr_db=(3.0,), max_frames=30, rng_seed=9)
+    with pytest.raises(RuntimeError, match="demap worker failed"):
+        run_monte_carlo(toy_code(), cfg)
+    assert pool_sizes == [2]
+    assert set(threading.enumerate()) <= before  # every pool thread was joined
+    assert len(calls) < 30  # the workers stopped before the queue was empty
 
 
 @pytest.mark.parametrize("batch_size", [0, -3])
