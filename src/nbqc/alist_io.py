@@ -166,10 +166,10 @@ def serialize_full(field: GF, h: np.ndarray) -> str:
 
 def parse_full(text: str) -> tuple[GF, np.ndarray]:
     lines, poly = _header(text, MAGIC_FULL, 6)
-    lineno, content = lines[2]
-    n_cols, n_rows, q = _ints(lineno, content, 3)
+    dims_line, content = lines[2]
+    n_cols, n_rows, q = _ints(dims_line, content, 3)
     if n_cols < 1 or n_rows < 1:
-        raise AlistFormatError(f"line {lineno}: non-positive dimensions")
+        raise AlistFormatError(f"line {dims_line}: non-positive dimensions")
     field = _field_for(lines, q, poly)
     lineno, content = lines[3]
     dmax_col, dmax_row = _ints(lineno, content, 2)
@@ -191,7 +191,12 @@ def parse_full(text: str) -> tuple[GF, np.ndarray]:
         (0, col_deg, n_rows, "column", "row"),
         (n_cols, row_deg, n_cols, "row", "column"),
     ):
-        view = np.zeros((len(degrees), n_other), dtype=np.int64)
+        try:
+            view = np.zeros((len(degrees), n_other), dtype=np.int64)
+        except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+            raise AlistFormatError(
+                f"line {dims_line}: {n_rows} x {n_cols} matrix does not fit in memory"
+            ) from None
         for t, d in enumerate(degrees):
             lineno, content = body[first + t]
             vals = _ints(lineno, content)

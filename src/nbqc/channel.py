@@ -26,22 +26,19 @@ order for the variable update (see `_degree_layout`).  The decoder is
 vectorized over a batch of frames, with per-frame early exit on a zero
 syndrome; batching never changes any individual frame's result.
 
-The demapper and the decoder both work a batch in frame chunks
-(`_each_chunk`), and every usable CPU pulls chunks from a shared queue
-until it is empty.  A chunk holds at most the frames whose work buffers
-fit the byte budget (16 bytes per observation and constellation point
-for the demapper; the decoder's messages for the fewest frames that
-reach 4 MiB, as a smaller working set also decodes faster per frame),
-and at most ceil(frames / usable CPUs), so every CPU gets a share of
-even a small batch.  The Monte-Carlo driver passes the decoder a function
-of the chunk, not a prior array: each decoding chunk demaps its own
-received samples on the worker that decodes them (the demapper's chunk
-runner then runs inline), so a batch's priors are never held at once.
-For one 64-frame point of the N=4620 GF(64) code under 64-QAM that is
-151 MB fewer: on a 2-CPU x86 VM it peaked at 103 MB in a median 4.6 s,
-against 243 MB in 4.9 s with the whole batch demapped first.  A chunk is
-demapped and decoded exactly as the whole batch would be, so no frame's
-result depends on the split.
+The decoder's frame chunks are the only thread pool (`_each_chunk`):
+every usable CPU pulls chunks from a shared queue until it is empty.  A
+chunk holds at most the fewest frames whose messages reach 4 MiB (a
+smaller working set also decodes faster per frame) and at most
+ceil(frames / usable CPUs), so every CPU gets a share of even a small
+batch.  The Monte-Carlo driver passes the decoder a function of the
+chunk, not a prior array, so each chunk demaps its own frames on the
+worker that decodes them and a batch's priors are never held at once.
+The demapper works in blocks of the frames that have 16 bytes per
+observation and constellation point within the same 4 MiB, one after
+another on the thread that calls it.  A chunk or block is demapped and
+decoded exactly as the whole batch would be, so no frame's result
+depends on the split.
 
 Conventions fixed for reproducibility:
   * field symbols become bits most-significant-bit first, in codeword order;
@@ -70,10 +67,8 @@ from .lifter import Lifting, check_int
 from .linalg import gf_matmul, gf_rref, gf_sparse_matmul
 
 _PROB_FLOOR = 1e-30
-# frame-chunk size, in bytes of decoder messages or of demapper distances
+# bytes of decoder messages per frame chunk, or of demapper distances per block
 _CHUNK_BYTES = 4 << 20
-# `active` is set on a thread while it works a chunk
-_in_chunk = threading.local()
 
 
 # ----------------------------------------------------------------------
@@ -174,42 +169,31 @@ def _each_chunk(frames: int, fit: int, work: Callable[[int, int], None]) -> None
 
     Chunks hold `_chunk_size(frames, fit, usable CPUs)` frames (the last
     one the rest).  W = min(usable CPUs, chunks) workers, the caller and
-    W - 1 pool threads, take chunk starts from a shared queue until it is
+    W - 1 pool threads, take chunks from a shared queue until it is
     empty; with one worker the caller works alone and no thread starts.
-    Called from inside a chunk's work, it counts one usable CPU, so its
-    chunks run inline on that worker and no nested pool starts.
     After an error the others stop at their next chunk, the error reaches
     the caller, and no pool thread outlives the call.
     """
-    nested = getattr(_in_chunk, "active", False)
-    cpus = 1 if nested else _usable_cpus()
+    cpus = _usable_cpus()
     size = _chunk_size(frames, fit, cpus)
-    starts = range(0, frames, size)
-    w = min(cpus, len(starts))
-
-    def run(lo: int) -> None:
-        _in_chunk.active = True
-        try:
-            work(lo, min(lo + size, frames))
-        finally:
-            _in_chunk.active = nested
-
+    chunks = [(lo, min(lo + size, frames)) for lo in range(0, frames, size)]
+    w = min(cpus, len(chunks))
     if w <= 1:
-        for lo in starts:
-            run(lo)
+        for lo, hi in chunks:
+            work(lo, hi)
         return
     # imported here: the pool modules cost 0.6 MB that a one-worker batch never uses
     import queue
     from concurrent.futures import ThreadPoolExecutor
 
     todo, failed = queue.SimpleQueue(), threading.Event()
-    for lo in starts:
-        todo.put(lo)
+    for chunk in chunks:
+        todo.put(chunk)
 
     def pull() -> None:
         try:
             while not failed.is_set():
-                run(todo.get_nowait())
+                work(*todo.get_nowait())
         except queue.Empty:
             pass
         except BaseException:
@@ -278,10 +262,10 @@ def symbol_likelihoods(
     periods, labels of one period) and `_demap_table` says, for each
     symbol of a period, which labels agree with each value.
 
-    The frames are demapped in chunks (see `_each_chunk`) of at most the
-    frames that have 16 bytes per observation and constellation point
-    within 4 MiB (their float64 weights take 8); each chunk writes its
-    rows of the output.
+    The frames are demapped one block after another on the calling
+    thread.  A block holds the frames that have 16 bytes per observation
+    and constellation point within 4 MiB (their float64 weights take 8),
+    and at least one frame; it writes its rows of the output.
     """
     rx = np.atleast_2d(received)
     k = modulation.bits_per_symbol
@@ -291,14 +275,14 @@ def symbol_likelihoods(
     frames, q = len(rx), 1 << p
     probs = np.empty((frames, n_symbols // len(table), len(table), q))
 
-    def work(lo: int, hi: int) -> None:
+    fit = max(1, _CHUNK_BYTES // (16 * rx.shape[1] * len(modulation.points)))
+    for lo in range(0, frames, fit):
+        hi = min(lo + fit, frames)
         w = observation_weights(rx[lo:hi], modulation, snr_db)
         _demap_chunk(w.reshape(hi - lo, probs.shape[1], -1), table, probs[lo:hi])
         out = probs[lo:hi].reshape(hi - lo, n_symbols, q)
         out += _PROB_FLOOR
         out /= out.sum(axis=2, keepdims=True)
-
-    _each_chunk(frames, _CHUNK_BYTES // (16 * rx.shape[1] * len(modulation.points)), work)
     probs = probs.reshape(frames, n_symbols, q)
     return probs if np.ndim(received) == 2 else probs[0]
 
@@ -685,6 +669,10 @@ class SimConfig:
         for v in snr:
             if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
                 raise ValueError(not_finite)
+            try:
+                noise_sigma(float(v))
+            except OverflowError:
+                raise ValueError(f"snr_db {v:g} overflows the noise variance") from None
         if not snr:
             raise ValueError("snr_db needs at least one SNR point")
         object.__setattr__(self, "snr_db", tuple(float(v) for v in snr))
@@ -731,14 +719,20 @@ class SimResult:
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.959964) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion.
+
+    The bounds are exactly 0 at 0 errors and 1 at n errors, where the
+    formula cancels but rounding would leave a remainder.
+    """
     if n == 0:
         return 0.0, 1.0
     phat = errors / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if errors == 0 else max(0.0, center - half)
+    hi = 1.0 if errors == n else min(1.0, center + half)
+    return lo, hi
 
 
 def run_monte_carlo(

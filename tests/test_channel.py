@@ -564,8 +564,8 @@ def test_threaded_decoding_matches_reference_and_unsplit_decode(pool_sizes):
     code, priors = n192_priors(19, 300)  # 14.7 MB of messages: four chunks of up to 86 frames
     before = set(threading.enumerate())
     got = code.decoder().decode_batch(priors, 30)
-    # the caller and two pool threads pull the three demap chunks, then the four decode chunks
-    assert pool_sizes == [2, 2]
+    # the caller and two pool threads pull the four decode chunks; the demapper started none
+    assert pool_sizes == [2]
     assert set(threading.enumerate()) <= before  # no pool thread outlives the call
     for g, u in zip(got, code.decoder()._decode(priors, 30)):
         assert np.array_equal(g, u)
@@ -661,14 +661,14 @@ def test_worker_error_reaches_the_caller(pool_sizes, monkeypatch):
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="worker failed"):
         dec.decode_batch(priors, 30)
-    assert pool_sizes == [2, 2]  # one pool demapped the priors
+    assert pool_sizes == [2]  # the demapper ran on the calling thread
     assert set(threading.enumerate()) <= before  # every pool thread was joined
     assert len(calls) < 300  # the workers stopped before the queue was empty
 
 
 @pytest.mark.parametrize("p", [4, 6, 8])
 @pytest.mark.parametrize("name", ["bpsk", "16qam", "64qam", "256qam"])
-def test_demapping_in_one_frame_chunks_is_exact(monkeypatch, p, name):
+def test_demapping_in_one_frame_chunks_is_exact(pool_sizes, monkeypatch, p, name):
     rng = np.random.default_rng(22)
     mod = make_modulation(name)
     cw = alignment_codeword(rng, p, mod, 5, 3)
@@ -680,59 +680,12 @@ def test_demapping_in_one_frame_chunks_is_exact(monkeypatch, p, name):
         return observation_weights(received, *args)
 
     monkeypatch.setattr(channel, "observation_weights", recording)
-    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)  # the chunks follow the byte fit alone
     whole = symbol_likelihoods(rx, mod, 6.0, p, cw.shape[1])
     monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
     split = symbol_likelihoods(rx, mod, 6.0, p, cw.shape[1])
-    assert chunks == [5, 1, 1, 1, 1, 1]
+    # the blocks follow the byte fit alone, and at 3 usable CPUs no pool starts
+    assert chunks == [5, 1, 1, 1, 1, 1] and pool_sizes == []
     assert np.array_equal(split, whole)
-
-
-@pytest.mark.parametrize("p, name", [(4, "bpsk"), (6, "64qam")])
-def test_threaded_demapping_is_bit_identical(pool_sizes, monkeypatch, p, name):
-    rng = np.random.default_rng(27)
-    mod = make_modulation(name)
-    cw = alignment_codeword(rng, p, mod, 7, 40)
-    rx = modulate_and_transmit(cw, p, mod, 3.0, rng)
-    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
-    want = symbol_likelihoods(rx, mod, 3.0, p, cw.shape[1]).tobytes()
-    switch = sys.getswitchinterval()
-    for chunk_bytes in (channel._CHUNK_BYTES, 1):  # a fit of all 7 frames, then of one
-        monkeypatch.setattr(channel, "_CHUNK_BYTES", chunk_bytes)
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(channel, "_usable_cpus", lambda: cpus)
-            sys.setswitchinterval(1e-5)  # threads interleave often between chunks
-            try:
-                got = symbol_likelihoods(rx, mod, 3.0, p, cw.shape[1])
-            finally:
-                sys.setswitchinterval(switch)
-            assert got.tobytes() == want
-    assert pool_sizes == [1, 2, 1, 2]
-
-
-def test_demap_worker_error_reaches_the_caller(pool_sizes, monkeypatch):
-    rng = np.random.default_rng(28)
-    mod = make_modulation("bpsk")
-    cw = alignment_codeword(rng, 4, mod, 30, 8)
-    rx = modulate_and_transmit(cw, 4, mod, 3.0, rng)
-    monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
-    caller, raised, calls = threading.get_ident(), threading.Event(), []
-
-    def failing(received, *args):
-        calls.append(len(received))
-        if threading.get_ident() != caller:
-            raised.set()
-            raise RuntimeError("demap worker failed")
-        assert raised.wait(30)  # the caller's chunk ends only after a worker failed
-        return observation_weights(received, *args)
-
-    monkeypatch.setattr(channel, "observation_weights", failing)
-    before = set(threading.enumerate())
-    with pytest.raises(RuntimeError, match="demap worker failed"):
-        symbol_likelihoods(rx, mod, 3.0, 4, cw.shape[1])
-    assert pool_sizes == [2]
-    assert set(threading.enumerate()) <= before  # every pool thread was joined
-    assert len(calls) < 30  # the workers stopped before the queue was empty
 
 
 def test_zero_frame_batches_give_empty_arrays():
@@ -988,6 +941,24 @@ def test_monte_carlo_demaps_one_decoding_chunk_per_call(pool_sizes, monkeypatch,
     assert pool_sizes == [2] * 4  # one pool per batch: the demapping inside a chunk starts none
 
 
+def test_monte_carlo_demaps_each_decoding_chunk_in_byte_blocks(monkeypatch):
+    # 256-QAM on N=192 GF(16): 96 observations of 256 points, a block fit of
+    # 4 MiB // (16 * 96 * 256) = 10 frames, under the decoder's 86-frame fit
+    code = n192_code()
+    assert code.decoder().chunk_frames == 86
+    blocks = []
+
+    def recording(received, *args):
+        blocks.append(len(received))
+        return observation_weights(received, *args)
+
+    monkeypatch.setattr(channel, "observation_weights", recording)
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)  # one 64-frame chunk per batch
+    cfg = SimConfig(modulation="256qam", snr_db=(30.0,), max_frames=128, rng_seed=5)
+    assert run_monte_carlo(code, cfg).points[0].frames == 128
+    assert blocks == ([10] * 6 + [4]) * 2
+
+
 def test_monte_carlo_demap_error_in_a_worker_reaches_the_caller(pool_sizes, monkeypatch):
     monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
     caller, raised, calls = threading.get_ident(), threading.Event(), []
@@ -1106,6 +1077,13 @@ def test_wilson_interval_sanity():
     assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
+def test_wilson_interval_edges_are_exact():
+    # the formula cancels at both edges; rounding must not leave a remainder
+    for n in range(1, 3001):
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(modulation="bogus", snr_db=(1.0,), max_frames=1, max_errors=1)
@@ -1127,6 +1105,7 @@ def test_sim_config_validation():
         ("snr_db", [1.0, "2"]),
         ("snr_db", [float("nan")]),
         ("snr_db", 5),
+        ("snr_db", [1.0, -4000.0]),  # noise variance 10^400 overflows
     ],
 )
 def test_sim_config_rejects_mistyped_values(field, value):
@@ -1142,3 +1121,10 @@ def test_sim_config_defaults_and_numpy_values():
     assert cfg.snr_db == (1.0, 2.5) and cfg.max_errors == 7 and cfg.rng_seed == 3
     # plain ints, so the CLI's manifest can be written as JSON
     assert type(cfg.max_frames) is int and type(cfg.max_errors) is int
+
+
+def test_sim_config_takes_the_lowest_snr_with_a_finite_noise_variance():
+    assert SimConfig(modulation="bpsk", snr_db=(-3082.0,), max_frames=1).snr_db == (-3082.0,)
+    assert noise_sigma(-3082.0) > 0
+    with pytest.raises(ValueError, match="^snr_db -3083 overflows the noise variance"):
+        SimConfig(modulation="bpsk", snr_db=(np.float64(-3083.0),), max_frames=1)

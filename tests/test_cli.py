@@ -619,3 +619,13 @@ def test_simulate_mistyped_config_fails_with_message(tmp_path, capsys, config, n
     assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def test_simulate_snr_whose_noise_variance_overflows_fails_with_message(tmp_path, capsys):
+    cfg = sim_config(tmp_path, snr_db=[-4000])
+    alist = str(INPUTS / "gf16_4x16_s12.alist")
+    assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: snr_db -4000 overflows the noise variance")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.txt").exists()

@@ -178,6 +178,25 @@ def test_full_rejects_row_line_repeating_an_entry():
         parse_full("\n".join(lines) + "\n")
 
 
+def test_full_too_large_to_hold_names_the_dimensions_line(monkeypatch):
+    # 3000 columns and 2000 rows, no edges; the allocation is made to fail
+    # here rather than requested for real, which overcommit could grant
+    text = "nbalist full\npoly 7\n3000 2000 4\n0 0\n"
+    text += " ".join(["0"] * 3000) + "\n" + " ".join(["0"] * 2000) + "\n" + "0\n" * 5000
+    real_zeros = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if np.prod(shape) >= 2000 * 3000:
+            raise MemoryError("Unable to allocate")
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    with pytest.raises(
+        AlistFormatError, match="^line 3: 2000 x 3000 matrix does not fit in memory$"
+    ):
+        parse_full(text)
+
+
 def test_bad_poly_line_is_line_numbered():
     lifting = example_lifting()
     for parse, good, dims in (
