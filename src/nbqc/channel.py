@@ -10,21 +10,25 @@ probability-domain belief propagation (flooding schedule, no damping).  A
 variable-to-check message gets a floor added and is scaled to sum 1; a
 check-to-variable message already sums to 1 and is only clamped at the floor.
 
-The encoder keeps the elimination's row transform T (T·H is the reduced
-row-echelon form), not the reduced matrix.  A frame x holding the
-information symbols and zeros at the pivot columns gets its parity
-symbols as T[:rank]·(H·x): the sparse product H·x over the edge list,
-then a rank x m dense product.  The same sparse H·x gives `syndrome` and
-the decoder's convergence test.
+The code keeps H only as its edge list; the dense matrix exists while
+it is eliminated, and on demand.  The encoder keeps the elimination's
+row transform T (T·H is the reduced row-echelon form), not the reduced
+matrix.  A frame x holding the information symbols and zeros at the
+pivot columns gets its parity symbols as T[:rank]·(H·x): the sparse
+product H·x over the edge list, then a rank x m dense product.  The same
+sparse H·x gives `syndrome` and the decoder's convergence test.
 
 Check-node updates are convolutions over the additive group of GF(2^p),
 computed as products in the Walsh-Hadamard domain after permuting each
 incoming message by its edge coefficient; each transform is one matrix
 product with the q x q Sylvester-Hadamard matrix.  Messages sit in
 degree-class blocks, in check order for the check update and in variable
-order for the variable update (see `_degree_layout`).  The decoder is
-vectorized over a batch of frames, with per-frame early exit on a zero
-syndrome; batching never changes any individual frame's result.
+order for the variable update (see `_degree_layout`).  A decoding
+worker holds the two (edges x q) message arrays and one prior array of
+its chunk; each variable's posterior forms in place among the
+check-to-variable messages.  The decoder is vectorized over a batch of
+frames, with per-frame early exit on a zero syndrome; batching never
+changes any individual frame's result.
 
 The decoder's frame chunks are the only thread pool (`_each_chunk`):
 every usable CPU pulls chunks from a shared queue until it is empty.  A
@@ -143,10 +147,17 @@ def modulate(codeword: np.ndarray, p: int, modulation: Modulation) -> np.ndarray
     return out[0] if np.asarray(codeword).ndim == 1 else out
 
 
+def _noise_variance(snr_db: float) -> float:
+    """The complex noise variance 10^(-snr_db/10); a ValueError if it overflows a float."""
+    try:
+        return 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db:g} overflows the noise variance") from None
+
+
 def noise_sigma(snr_db: float) -> float:
     """Per-component standard deviation of the complex noise at Es/N0 = snr_db."""
-    n0 = 10.0 ** (-snr_db / 10.0)
-    return math.sqrt(n0 / 2.0)
+    return math.sqrt(_noise_variance(snr_db) / 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +233,7 @@ def observation_weights(
     weight, each taken from the squared distances to that axis's levels,
     less their smallest; BPSK's one quadrature level has weight 1.
     """
-    n0 = max(10.0 ** (-snr_db / 10.0), _PROB_FLOOR)
+    n0 = max(_noise_variance(snr_db), _PROB_FLOOR)
     wi = _axis_weights(received.real, modulation.i_levels, n0)
     grid = np.empty((*received.shape, modulation.i_levels.size, modulation.q_levels.size))
     if modulation.q_levels.size == 1:
@@ -332,9 +343,10 @@ def _demap_table(p: int, k: int) -> list[list[tuple]]:
 class CodeInstance:
     """Expanded parity-check matrix with a systematic encoder.
 
-    H is kept once, in the dtype of the field's table, and as its edge
-    list grouped by check (`edge_check`, `edge_var`, `edge_coeff`), which
-    `syndrome`, the encoder and the decoder read.  Elimination gives the
+    H is kept once, as its edge list grouped by check (`edge_check`,
+    `edge_var`, `edge_coeff`) and its `shape`, which `syndrome`, the
+    encoder and the decoder read; `h` rebuilds the dense matrix, in the
+    dtype of the field's table, on each read.  Elimination gives the
     row transform T for which T·H is in reduced row-echelon form: pivot
     columns carry parity symbols and the other columns information
     symbols.  Row r of T·H says that pivot symbol r is the sum of the
@@ -350,8 +362,9 @@ class CodeInstance:
             raise ValueError("parity-check matrix must be non-empty and 2-D")
         if h.min() < 0 or h.max() >= field.q:
             raise ValueError("matrix entries out of field range")
-        h = self.h = h.astype(field.mul_table.dtype)
+        h = h.astype(field.mul_table.dtype, copy=False)
         self.field = field
+        self.shape = h.shape
         self.n = h.shape[1]
         self.edge_check, self.edge_var = np.nonzero(h)
         self.edge_coeff = h[self.edge_check, self.edge_var]
@@ -370,6 +383,13 @@ class CodeInstance:
         self.info_cols = np.nonzero(mask)[0]
         self.parity_transform = transform[: self.rank]
         self._decoder: QspaDecoder | None = None
+
+    @property
+    def h(self) -> np.ndarray:
+        """The dense parity-check matrix, rebuilt from the edge list."""
+        h = np.zeros(self.shape, dtype=self.field.mul_table.dtype)
+        h[self.edge_check, self.edge_var] = self.edge_coeff
+        return h
 
     @property
     def rate(self) -> float:
@@ -391,7 +411,7 @@ class CodeInstance:
     def syndrome(self, word: np.ndarray) -> np.ndarray:
         """H·word over GF(q), for one word or for each row of a batch."""
         edges = self.edge_var, self.edge_check, self.edge_coeff  # H^T's nonzeros
-        return gf_sparse_matmul(self.field, np.asarray(word), *edges, self.h.shape[0])
+        return gf_sparse_matmul(self.field, np.asarray(word), *edges, self.shape[0])
 
     def decoder(self) -> "QspaDecoder":
         if self._decoder is None:
@@ -455,7 +475,7 @@ class QspaDecoder:
         # cycle would keep H and its row transform alive until a cyclic GC pass
         field = self.field = code.field
         q = self.q = field.q
-        self.n_checks, self.n_vars = code.h.shape
+        self.n_checks, self.n_vars = code.shape
         checks, vars_, coeffs = code.edge_check, code.edge_var, code.edge_coeff
         self.n_edges = checks.size
         self.edges = vars_, checks, coeffs  # H^T's nonzeros, for H·x
@@ -466,14 +486,16 @@ class QspaDecoder:
         # variable-order edges read the prior of their variable's rank
         self.edge_vrank = self.var_pos[vars_[v_order]]
 
-        # check->variable: message about x recovered from t = coeff * x;
-        # variable->check: message about t = coeff * x, the inverse permutation
-        perm_cv = field.mul_table[coeffs[:, None], np.arange(q)]
-        perm_vc = np.argsort(perm_cv, axis=1)
-        # flat (edge * q + symbol) gathers between the two orders
+        # check->variable: message about x recovered from t = coeff * x, the
+        # table row of coeff; variable->check: message about t = coeff * x,
+        # the table row of coeff's inverse
+        mul = field.mul_table
+        inverse = field.exp_table[q - 1 - field.log_table[coeffs]]
+        # flat (edge * q + symbol) gathers between the two orders: an int64
+        # offset per edge plus its int16 table row
         v_pos, c_pos = np.argsort(v_order), np.argsort(c_order)
-        self.gather_vc = (v_pos[c_order, None] * q + perm_vc[c_order]).ravel()
-        self.gather_cv = (c_pos[v_order, None] * q + perm_cv[v_order]).ravel()
+        self.gather_vc = np.add((v_pos[c_order] * q)[:, None], mul[inverse[c_order]]).ravel()
+        self.gather_cv = np.add((c_pos[v_order] * q)[:, None], mul[coeffs[v_order]]).ravel()
 
         # Sylvester-Hadamard matrix H[i, j] = (-1)^popcount(i & j): the WHT is x @ H
         self.hadamard = np.ones((1, 1))
@@ -579,16 +601,18 @@ class QspaDecoder:
             return words, converged, iterations
 
         # iterate only the `a` still-active frames, whose messages, priors and
-        # posteriors fill the first rows of their buffers; priors and posteriors
-        # are kept in var_order
-        q = self.q
+        # hard decisions fill the first rows of their buffers; priors and hard
+        # decisions are kept in var_order
+        q, n = self.q, self.n_vars
         active = np.flatnonzero(~converged)
         a = active.size
-        priors_a = priors[active][:, self.var_order]
+        rows = (active[:, None] * n + self.var_order).ravel()
+        priors_a = np.take(priors.reshape(-1, q), rows, axis=0).reshape(a, n, q)
         # free priors made for this chunk before the messages are allocated: a worker's
         # heap then stays under malloc's trim threshold (N=192: 2 MB fewer page faults a chunk)
         del priors
-        post = priors_a.copy()  # a variable without edges keeps its prior
+        # a variable without edges keeps its channel decision
+        hard_r = words.take(rows).reshape(a, n)
         buf = np.empty((2, a, self.n_edges, q))
         np.take(priors_a, self.edge_vrank, axis=1, out=buf[1], mode="clip")
         v2c = self._normalize_edges(buf[1])
@@ -604,22 +628,23 @@ class QspaDecoder:
             np.take(u.reshape(a, -1), self.gather_cv, axis=1, out=t.reshape(a, -1), mode="clip")
             c2v = self._clamp_edges(t)
 
-            # variable-node update and posterior
+            # variable-node update; each posterior forms in slot 0 of its class in c2v
             for edges, d, owners in self.var_classes:
                 g = c2v[:, edges].reshape(a, d, -1, q)
                 loo = u[:, edges].reshape(a, d, -1, q)
                 prior = priors_a[:a, owners]
                 if d == 2:  # each slot gets the other's message times the prior
-                    np.multiply(g[:, 0], g[:, 1], out=post[:a, owners])
                     np.multiply(g[:, ::-1], prior[:, None], out=loo)
+                    g[:, 0] *= g[:, 1]
                 else:
                     _leave_one_out(g, loo)
-                    np.multiply(loo[:, -1], g[:, -1], out=post[:a, owners])
+                    np.multiply(loo[:, -1], g[:, -1], out=g[:, 0])
                     loo *= prior[:, None]
-                post[:a, owners] *= prior
+                g[:, 0] *= prior
+                g[:, 0].argmax(axis=2, out=hard_r[:a, owners])
             v2c = self._normalize_edges(u)
 
-            hard = post[:a].argmax(axis=2)[:, self.var_pos]
+            hard = hard_r[:a, self.var_pos]
             ok = self._converged(hard)
             words[active] = hard
             iterations[active[ok]] = it
@@ -631,7 +656,7 @@ class QspaDecoder:
                 keep = np.flatnonzero(~ok)
                 for i, j in enumerate(keep.tolist()):
                     if i != j:
-                        for arr in (v2c, priors_a, post):
+                        for arr in (v2c, priors_a, hard_r):
                             arr[i] = arr[j]
                 active, a = active[keep], keep.size
                 v2c = v2c[:a]
@@ -669,10 +694,7 @@ class SimConfig:
         for v in snr:
             if not isinstance(v, numbers.Real) or isinstance(v, bool) or not math.isfinite(v):
                 raise ValueError(not_finite)
-            try:
-                noise_sigma(float(v))
-            except OverflowError:
-                raise ValueError(f"snr_db {v:g} overflows the noise variance") from None
+            _noise_variance(v)
         if not snr:
             raise ValueError("snr_db needs at least one SNR point")
         object.__setattr__(self, "snr_db", tuple(float(v) for v in snr))

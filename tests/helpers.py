@@ -21,7 +21,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from nbqc.base_graph import BaseMatrix, Cycle, cycle_ace, girth
-from nbqc.channel import _PROB_FLOOR, Modulation, modulate, noise_sigma
+from nbqc.channel import _PROB_FLOOR, Modulation, _degree_layout, modulate, noise_sigma
 from nbqc.gf import GF
 from nbqc.lifter import AcceptedTrial, ConstructionReport, Lifting
 
@@ -472,6 +472,22 @@ def _loo_product(g: np.ndarray) -> np.ndarray:
         prefix[:, :, t] = prefix[:, :, t - 1] * g[:, :, t - 1]
         suffix[:, :, d - 1 - t] = suffix[:, :, d - t] * g[:, :, d - t]
     return prefix * suffix
+
+
+def argsort_gathers(code) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder's flat variable-to-check and check-to-variable gathers, with
+    each edge's variable-to-check permutation the argsort of its table row."""
+    q = code.field.q
+    checks, vars_, coeffs = code.edge_check, code.edge_var, code.edge_coeff
+    c_order = _degree_layout(checks, vars_, code.shape[0])[0]
+    v_order = _degree_layout(vars_, checks, code.shape[1])[0]
+    perm_cv = code.field.mul_table[coeffs[:, None], np.arange(q)]
+    perm_vc = np.argsort(perm_cv, axis=1)
+    v_pos, c_pos = np.argsort(v_order), np.argsort(c_order)
+    return (
+        (v_pos[c_order, None] * q + perm_vc[c_order]).ravel(),
+        (c_pos[v_order, None] * q + perm_cv[v_order]).ravel(),
+    )
 
 
 def reference_decode_batch(code, priors: np.ndarray, max_iter: int):

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     _wht,
+    argsort_gathers,
     direct_xor_convolution,
     example_lifting,
     modulate_and_transmit,
@@ -19,7 +20,7 @@ from helpers import (
     reference_observation_weights,
 )
 from nbqc import channel
-from nbqc.alist_io import load_matrix_file
+from nbqc.alist_io import load_matrix_file, parse_full, serialize_full
 from nbqc.base_graph import BaseMatrix, weight2_base
 from nbqc.channel import (
     CodeInstance,
@@ -131,6 +132,45 @@ def test_encode_matches_rref_parity_map_on_perfbench_liftings(name):
     words = code.encode(info)
     assert np.array_equal(words, reference_encode(code.field, lifting.expand(), info))
     assert not code.syndrome(words).any()
+
+
+@pytest.mark.parametrize("name", ["gf16_4x16_s12.alist", "gf64_8x66_s70.alist"])
+def test_dense_h_is_rebuilt_from_the_edge_list_of_a_lifting(name):
+    lifting = load_matrix_file(PERFBENCH_INPUTS / name)
+    h = build_code(lifting).h
+    assert h.dtype == lifting.field.mul_table.dtype
+    assert np.array_equal(h, lifting.expand())
+
+
+def test_dense_h_is_rebuilt_from_the_edge_list_of_a_full_nbalist():
+    # an all-zero column: the rebuilt matrix keeps the shape, not just the edges' span
+    field, parsed = parse_full(serialize_full(F4, np.array([[1, 2, 0, 0], [0, 1, 3, 0]])))
+    code = CodeInstance(field, parsed)
+    assert code.shape == (2, 4) and np.array_equal(code.h, parsed)
+
+
+def arrays_held(obj):
+    """Every numpy array an object's attributes hold, inside tuples and lists too,
+    with the arrays they are views of."""
+    stack, found = list(vars(obj).values()), []
+    while stack:
+        x = stack.pop()
+        if isinstance(x, np.ndarray):
+            found.append(x)
+            if x.base is not None:
+                stack.append(x.base)
+        elif isinstance(x, (tuple, list)):
+            stack.extend(x)
+    return found
+
+
+def test_n4620_code_and_decoder_hold_no_dense_sized_array():
+    code = build_code(load_matrix_file(PERFBENCH_INPUTS / "gf64_8x66_s70.alist"))
+    m, n = code.shape
+    for obj in (code, code.decoder()):
+        held = arrays_held(obj)
+        assert len(held) >= 5
+        assert max(a.size for a in held) < m * n
 
 
 def test_encode_matches_rref_parity_map_on_irregular_and_deficient_codes():
@@ -517,13 +557,16 @@ def assert_same_decoding(code, priors, max_iter):
 def test_decoder_matches_padded_slot_reference_on_irregular_codes():
     rng = np.random.default_rng(16)
     iterated = stuck = 0
-    for case in range(44):  # every max_iter 0-10 with q = 2, 4, 16 and 64
+    for case in range(48):  # every max_iter 0-10 and 30 with q = 2, 4, 16 and 64
         field = GF((1, 2, 4, 6)[case % 4])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # random H may be rank-deficient
             code = CodeInstance(field, random_irregular_h(rng, field))
         priors = noisy_codeword_priors(rng, code, (1, 7)[case // 4 % 2])
-        _, converged, iters = assert_same_decoding(code, priors, case % 11)
+        words, converged, iters = assert_same_decoding(code, priors, (*range(11), 30)[case // 4])
+        # a variable without edges keeps its channel decision
+        lone = np.bincount(code.edge_var, minlength=code.n) == 0
+        assert np.array_equal(words[:, lone], priors[:, lone].argmax(axis=2))
         iterated += int((iters > 0).sum())
         stuck += int((~converged).sum())
     assert iterated and stuck  # both converging and failing frames were compared
@@ -537,6 +580,22 @@ def n192_priors(seed, frames, snr_db=1.5):
     words = code.encode(rng.integers(0, 16, size=(frames, code.k)))
     rx = modulate_and_transmit(words, 4, mod, snr_db, rng)
     return code, symbol_likelihoods(rx, mod, snr_db, 4, code.n)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_gathers_equal_the_argsort_built_ones_for_every_coefficient(p):
+    field = GF(p)
+    coeffs = np.arange(1, field.q)
+    h = np.zeros((3, field.q), dtype=np.int64)  # column degrees 1 to 3
+    h[0, :-1] = coeffs
+    h[1, 1:] = coeffs[::-1]
+    h[2, ::3] = coeffs[: h[2, ::3].size]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # H may be rank-deficient
+        code = CodeInstance(field, h)
+    dec = QspaDecoder(code)
+    for got, want in zip((dec.gather_vc, dec.gather_cv), argsort_gathers(code)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_decoder_matches_padded_slot_reference_on_n192_lifting():
@@ -1121,6 +1180,18 @@ def test_sim_config_defaults_and_numpy_values():
     assert cfg.snr_db == (1.0, 2.5) and cfg.max_errors == 7 and cfg.rng_seed == 3
     # plain ints, so the CLI's manifest can be written as JSON
     assert type(cfg.max_frames) is int and type(cfg.max_errors) is int
+
+
+def test_snr_whose_noise_variance_overflows_fails_in_direct_calls():
+    bpsk = make_modulation("bpsk")
+    calls = [
+        lambda: noise_sigma(-4000.0),
+        lambda: observation_weights(np.ones(4, dtype=complex), bpsk, -4000.0),
+        lambda: symbol_likelihoods(np.ones((1, 4)), bpsk, -4000.0, 2, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^snr_db -4000 overflows the noise variance$"):
+            call()
 
 
 def test_sim_config_takes_the_lowest_snr_with_a_finite_noise_variance():
