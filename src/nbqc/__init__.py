@@ -1,6 +1,6 @@
 """Non-binary quasi-cyclic LDPC codes: construction, analysis, simulation."""
 
-from .base_graph import BaseMatrix, Cycle, all_cycles, cycle_ace, girth
+from .base_graph import BaseMatrix, Cycle, all_cycles, girth
 from .channel import CodeInstance, SimConfig, SimResult, build_code, run_monte_carlo
 from .gf import GF, DEFAULT_PRIMITIVE_POLY
 from .lifter import (
@@ -22,7 +22,6 @@ __all__ = [
     "BaseMatrix",
     "Cycle",
     "all_cycles",
-    "cycle_ace",
     "girth",
     "Lifting",
     "ConstructionConfig",

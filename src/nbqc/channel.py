@@ -35,9 +35,11 @@ every usable CPU pulls chunks from a shared queue until it is empty.  A
 chunk holds at most the fewest frames whose messages reach 4 MiB (a
 smaller working set also decodes faster per frame) and at most
 ceil(frames / usable CPUs), so every CPU gets a share of even a small
-batch.  The Monte-Carlo driver passes the decoder a function of the
-chunk, not a prior array, so each chunk demaps its own frames on the
-worker that decodes them and a batch's priors are never held at once.
+batch.  The decoder reads a frame sequence, whose slice lo:hi is those
+frames' prior array, and each chunk reads its slice on the worker that
+decodes it.  The Monte-Carlo driver's sequence demaps a slice when it
+is read, so each chunk demaps its own frames on the worker that decodes
+them and a batch's priors are never held at once.
 The demapper works in blocks of the frames that have 16 bytes per
 observation and constellation point within the same 4 MiB, one after
 another on the thread that calls it.  A chunk or block is demapped and
@@ -61,7 +63,7 @@ import numbers
 import os
 import threading
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -451,12 +453,9 @@ def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
     """out[:, k] = product of g[:, j] over j != k, for (f, d, n, q) blocks.
 
     A prefix scan g0*g1*... fills `out`, then a running suffix
-    g[d-1]*g[d-2]*... multiplies into it; a swap when d = 2.
+    g[d-1]*g[d-2]*... multiplies into it.
     """
     d = g.shape[1]
-    if d == 2:
-        out[:, 0], out[:, 1] = g[:, 1], g[:, 0]
-        return
     out[:, 0] = 1.0
     for k in range(1, d):
         np.multiply(out[:, k - 1], g[:, k - 1], out=out[:, k])
@@ -532,13 +531,11 @@ class QspaDecoder:
         return max(1, -(-_CHUNK_BYTES // max(self.n_edges * self.q * 8, 1)))
 
     def decode_batch(
-        self,
-        priors: np.ndarray | Callable[[int, int], np.ndarray],
-        max_iter: int,
-        frames: int | None = None,
+        self, priors: Sequence[np.ndarray], max_iter: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode a (frames, n, q) prior batch, or `frames` frames whose
-        priors the function priors(lo, hi) gives chunk by chunk.
+        """Decode a sequence of frames: `len(priors)` frames, of which
+        priors[lo:hi] is the (hi - lo, n, q) prior array, as a numpy
+        batch of shape (frames, n, q) is.
 
         Returns (words, converged, iterations).  A frame's output freezes
         at its first zero-syndrome hard decision; iteration counts say
@@ -548,39 +545,25 @@ class QspaDecoder:
         Frames are decoded in chunks (see `_each_chunk`) of at most
         `chunk_frames`, so the work buffers are bounded by bytes, not by
         the batch, and every usable CPU gets a share; each chunk writes
-        its outputs at its rows.  A prior function is called once per
-        chunk, on the worker that decodes it, so only the chunks being
-        decoded hold priors.  A chunk decodes exactly as the whole batch
-        would, so no frame's result depends on the split.
+        its outputs at its rows.  Each chunk reads its slice on the worker
+        that decodes it, so a sequence that makes its slices when read has
+        only the chunks being decoded in memory.  A slice of the wrong
+        shape raises a ValueError.  A chunk decodes exactly as the whole
+        batch would, so no frame's result depends on the split.
         """
         max_iter = check_int("max_iter", max_iter, 0)
-        if callable(priors):
-            frames = check_int("frames", frames, 0)
-
-            def chunk_priors(lo: int, hi: int) -> np.ndarray:
-                chunk = np.asarray(priors(lo, hi), dtype=float)
-                if chunk.shape != (hi - lo, self.n_vars, self.q):
-                    raise ValueError("prior shape does not match the code")
-                return chunk
-
-        elif frames is not None:
-            raise ValueError("frames is given only with a prior function")
-        else:
-            batch = np.asarray(priors, dtype=float)
-            if batch.ndim == 2:
-                batch = batch[None]
-            if batch.shape[1:] != (self.n_vars, self.q):
-                raise ValueError("prior shape does not match the code")
-            frames = len(batch)
-
-            def chunk_priors(lo: int, hi: int) -> np.ndarray:
-                return batch[lo:hi]
-
+        frames = len(priors)
         outs = (
             np.empty((frames, self.n_vars), dtype=np.intp),
             np.empty(frames, dtype=bool),
             np.empty(frames, dtype=np.int64),
         )
+
+        def chunk_priors(lo: int, hi: int) -> np.ndarray:
+            chunk = np.asarray(priors[lo:hi], dtype=float)
+            if chunk.shape != (hi - lo, self.n_vars, self.q):
+                raise ValueError("prior shape does not match the code")
+            return chunk
 
         def work(lo: int, hi: int) -> None:
             # no local name holds the chunk's priors, so `_decode` can free them early
@@ -757,6 +740,21 @@ def wilson_interval(errors: int, n: int, z: float = 1.959964) -> tuple[float, fl
     return lo, hi
 
 
+class _Demapped:
+    """The priors of received frames, demapped when read: self[lo:hi] is
+    symbol_likelihoods(rx[lo:hi], *args)."""
+
+    def __init__(self, rx: np.ndarray, *args) -> None:
+        self.rx, self.args = rx, args
+
+    def __len__(self) -> int:
+        return len(self.rx)
+
+    def __getitem__(self, frames: slice) -> np.ndarray:
+        # looked up at each call, so a wrapper set on the module sees every demap
+        return symbol_likelihoods(self.rx[frames], *self.args)
+
+
 def run_monte_carlo(
     code: CodeInstance, cfg: SimConfig, batch_size: int = 64
 ) -> SimResult:
@@ -804,12 +802,9 @@ def run_monte_carlo(
                 noise[t].real, noise[t].imag = rng.normal(scale=sigma, size=(2, n_obs))
             tx_words = code.encode(info)
             rx = modulate(tx_words, p, modulation) + noise
-
-            def demap(lo: int, hi: int) -> np.ndarray:
-                return symbol_likelihoods(rx[lo:hi], modulation, snr_db, p, code.n)
-
             # each decoding chunk demaps its own frames: the batch's priors never exist at once
-            decoded, _, iters = decoder.decode_batch(demap, cfg.decoder_max_iterations, b)
+            priors = _Demapped(rx, modulation, snr_db, p, code.n)
+            decoded, _, iters = decoder.decode_batch(priors, cfg.decoder_max_iterations)
             failed = np.cumsum((decoded != tx_words).any(axis=1))
             # count frames up to and including the one that reaches max_errors
             used = min(b, int(np.searchsorted(failed, cfg.max_errors - errors)) + 1)

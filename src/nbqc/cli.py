@@ -34,6 +34,7 @@ from .channel import CodeInstance, SimConfig, build_code, run_monte_carlo
 from .lifter import (
     ConstructionConfig,
     Lifting,
+    check_int,
     cycles_eliminated,
     distance_upper_bound,
     expanded_girth,
@@ -50,6 +51,14 @@ LOW_DISTANCE_THRESHOLD = 100
 # ----------------------------------------------------------------------
 def cmd_construct(args) -> int:
     base = BaseMatrix.from_file(args.base)
+    # an error names the flag that was typed, not the config field it sets
+    for flag, value, low in (
+        ("--trials", args.trials, 1),
+        ("--seed", args.seed, 0),
+        ("--cycle-cap", args.cycle_cap, 1),
+    ):
+        if value is not None:
+            check_int(flag, value, low)
     # a flag left out takes ConstructionConfig's default
     given = {
         "depth": args.depth,
@@ -150,7 +159,8 @@ def cmd_analyze(args) -> int:
 # simulate
 # ----------------------------------------------------------------------
 def _load_sim_config(path) -> SimConfig:
-    """The JSON config as a SimConfig, which checks the values; `seed` is rng_seed."""
+    """The JSON config as a SimConfig, which checks the values; `seed` is rng_seed,
+    checked here so that an error names the key that was typed."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -164,7 +174,7 @@ def _load_sim_config(path) -> SimConfig:
         if f.default is dataclasses.MISSING and key not in data:
             raise ValueError(f"simulation config lacks required key '{key}'")
     if "seed" in data:
-        data["rng_seed"] = data.pop("seed")
+        data["rng_seed"] = check_int("seed", data.pop("seed"), 0)
     return SimConfig(**data)
 
 

@@ -168,10 +168,15 @@ class Lifting:
         """The (m*s) x (n*s) scalar matrix over GF(q).
 
         Edge (i, j) with monomial beta * x^z puts beta on each of the s
-        edges that lifted_edges places for shift z.
+        edges that lifted_edges places for shift z.  A matrix that cannot
+        be allocated is a ValueError naming its dimensions.
         """
         s = self.s
-        out = np.zeros((self.base.m * s, self.base.n * s), dtype=self.field.mul_table.dtype)
+        rows, cols = self.base.m * s, self.base.n * s
+        try:
+            out = np.zeros((rows, cols), dtype=self.field.mul_table.dtype)
+        except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+            raise ValueError(f"{rows} x {cols} expanded matrix does not fit in memory") from None
         out[lifted_edges(self.base, self.shift, s)] = self.beta[:, None]
         return out
 
@@ -222,10 +227,9 @@ class ConstructionReport:
 # ----------------------------------------------------------------------
 # cycle elimination test
 # ----------------------------------------------------------------------
-def _cycle_matchings(base: BaseMatrix, cycles) -> tuple[np.ndarray, np.ndarray]:
+def _cycle_matchings(base: BaseMatrix, cycles: CycleList) -> tuple[np.ndarray, np.ndarray]:
     """Perfect matchings of every cycle's submatrix over its rows x cols.
 
-    `cycles` is a CycleList, or a list of Cycle objects to be read as one.
     Returns (owner, edges) sorted by owner: row t of `edges` is a matching
     of cycles[owner[t]], as base edge numbers.  Matchings of shorter
     cycles are padded with the number of base edges, an edge that the
@@ -235,8 +239,6 @@ def _cycle_matchings(base: BaseMatrix, cycles) -> tuple[np.ndarray, np.ndarray]:
     still free column the row meets; every perfect matching is one such
     sequence of choices, so each is found once.
     """
-    if not isinstance(cycles, CycleList):
-        cycles = CycleList.from_cycles(cycles)
     pad = base.edge_rows.size
     half = cycles.lengths // 2
     width = int(half.max(initial=0))
@@ -283,12 +285,11 @@ def _xor_terms(
     return key // s, key % s, total[keep]
 
 
-def cycles_eliminated(lifting: Lifting, cycles) -> np.ndarray:
+def cycles_eliminated(lifting: Lifting, cycles: CycleList) -> np.ndarray:
     """Per cycle, whether its polynomial submatrix has nonzero determinant.
 
-    `cycles` is a CycleList or a list of Cycle objects.  The determinant
-    is the per-shift xor of the matching terms of the submatrix over
-    rows(cycle) x cols(cycle) (see the module docstring).
+    The determinant is the per-shift xor of the matching terms of the
+    submatrix over rows(cycle) x cols(cycle) (see the module docstring).
     """
     log, exp = lifting.field.log_table, lifting.field.exp_table
     s = lifting.s
@@ -307,7 +308,7 @@ def cycles_eliminated(lifting: Lifting, cycles) -> np.ndarray:
 
 def cycle_eliminated(lifting: Lifting, cycle: Cycle) -> bool:
     """True when the cycle's polynomial submatrix has nonzero determinant."""
-    return bool(cycles_eliminated(lifting, [cycle])[0])
+    return bool(cycles_eliminated(lifting, CycleList.from_cycles([cycle]))[0])
 
 
 # ----------------------------------------------------------------------

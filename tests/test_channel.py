@@ -556,12 +556,13 @@ def assert_same_decoding(code, priors, max_iter):
 
 def test_decoder_matches_padded_slot_reference_on_irregular_codes():
     rng = np.random.default_rng(16)
-    iterated = stuck = 0
+    iterated = stuck = degree_2_checks = 0
     for case in range(48):  # every max_iter 0-10 and 30 with q = 2, 4, 16 and 64
         field = GF((1, 2, 4, 6)[case % 4])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # random H may be rank-deficient
             code = CodeInstance(field, random_irregular_h(rng, field))
+        degree_2_checks += any(d == 2 for _, d, _ in code.decoder().check_classes)
         priors = noisy_codeword_priors(rng, code, (1, 7)[case // 4 % 2])
         words, converged, iters = assert_same_decoding(code, priors, (*range(11), 30)[case // 4])
         # a variable without edges keeps its channel decision
@@ -570,6 +571,7 @@ def test_decoder_matches_padded_slot_reference_on_irregular_codes():
         iterated += int((iters > 0).sum())
         stuck += int((~converged).sum())
     assert iterated and stuck  # both converging and failing frames were compared
+    assert degree_2_checks  # the leave-one-out scan at d = 2 was compared too
 
 
 def n192_priors(seed, frames, snr_db=1.5):
@@ -766,19 +768,55 @@ def test_decode_batch_rejects_a_bad_max_iter(max_iter):
         code.decoder().decode_batch(priors, max_iter)
 
 
-def test_decode_batch_takes_a_prior_function_with_its_frame_count():
+class LazyFrames:
+    """A frame sequence that makes each slice when it is read: edit(priors[lo:hi] copied).
+
+    `reads` lists each slice read as (lo, hi); `extra` frames are claimed
+    beyond those the priors hold.
+    """
+
+    def __init__(self, priors, edit=lambda chunk: chunk, extra=0):
+        self.priors, self.edit, self.extra, self.reads = priors, edit, extra, []
+
+    def __len__(self):
+        return len(self.priors) + self.extra
+
+    def __getitem__(self, frames):
+        self.reads.append((frames.start, frames.stop))
+        return self.edit(self.priors[frames].copy())
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_lazy_frame_sequence_decodes_as_its_array(pool_sizes, monkeypatch, cpus):
+    code, priors = n192_priors(20, 64)
+    dec = code.decoder()
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: cpus)
+    want = dec.decode_batch(priors, 30)
+    pool_sizes.clear()
+    frames = LazyFrames(priors)
+    got = dec.decode_batch(frames, 30)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # each chunk's slice is read once: one 64-frame chunk, or 22, 22 and 20 on three workers
+    assert sorted(frames.reads) == ([(0, 64)] if cpus == 1 else [(0, 22), (22, 44), (44, 64)])
+    assert pool_sizes == ([] if cpus == 1 else [2])
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_prior_slice_of_the_wrong_shape_is_rejected(pool_sizes, monkeypatch, cpus):
     code = toy_code()
     dec = code.decoder()
     priors = np.stack([high_confidence_priors(code, np.array([t, 3 * t % 4, t])) for t in range(4)])
-    chunked = dec.decode_batch(lambda lo, hi: priors[lo:hi], 5, 4)
-    for g, w in zip(chunked, dec.decode_batch(priors, 5)):
-        assert np.array_equal(g, w)
-    with pytest.raises(ValueError, match="frames must be an integer >= 0, got None"):
-        dec.decode_batch(lambda lo, hi: priors[lo:hi], 5)
-    with pytest.raises(ValueError, match="prior shape does not match the code"):
-        dec.decode_batch(lambda lo, hi: priors[lo:hi, :2], 5, 4)
-    with pytest.raises(ValueError, match="frames is given only with a prior function"):
-        dec.decode_batch(priors, 5, 4)
+    monkeypatch.setattr(channel, "_usable_cpus", lambda: cpus)
+    for bad in (
+        LazyFrames(priors, edit=lambda chunk: chunk[:, :2]),  # a variable short
+        LazyFrames(priors, extra=1),  # the last slice a frame short
+        priors[0],  # one frame's (n, q) priors, read as n frames
+    ):
+        with pytest.raises(ValueError, match="^prior shape does not match the code$"):
+            dec.decode_batch(bad, 5)
+    # at 3 CPUs every call starts a pool: 2, 3 and 3 chunks of 4, 5 and 3 frames
+    assert pool_sizes == ([] if cpus == 1 else [1, 2, 2])
 
 
 @pytest.mark.parametrize("name", ["bpsk", "4qam", "16qam", "64qam", "256qam"])
@@ -803,7 +841,7 @@ def test_empty_checks_are_always_satisfied():
         warnings.simplefilter("ignore")  # both matrices are rank-deficient
         codes = [CodeInstance(F4, h) for h in ([[1, 2, 0], [0, 0, 0], [0, 1, 3]], np.zeros((2, 3)))]
     for code in codes:
-        words, converged, iters = code.decoder().decode_batch(high_confidence_priors(code, word), 5)
+        words, converged, iters = code.decoder().decode_batch(high_confidence_priors(code, word)[None], 5)
         assert converged[0] and iters[0] == 0 and np.array_equal(words[0], word)
 
 
@@ -905,9 +943,9 @@ def test_monte_carlo_early_stop_sizes_batches_by_missing_errors(monkeypatch):
     decoded = []
     original = QspaDecoder.decode_batch
 
-    def counting(self, priors, max_iter, frames):
-        decoded.append(frames)
-        return original(self, priors, max_iter, frames)
+    def counting(self, priors, max_iter):
+        decoded.append(len(priors))
+        return original(self, priors, max_iter)
 
     monkeypatch.setattr(QspaDecoder, "decode_batch", counting)
     got = run_monte_carlo(toy_code(), cfg, batch_size=400)
@@ -925,11 +963,11 @@ def monte_carlo_decodes(monkeypatch, code, cfg, whole_batch):
     """
     original, outputs = QspaDecoder.decode_batch, []
 
-    def recording(self, priors, max_iter, frames):
+    def recording(self, priors, max_iter):
         if whole_batch:
-            got = original(self, priors(0, frames), max_iter)
+            got = original(self, priors[0 : len(priors)], max_iter)
         else:
-            got = original(self, priors, max_iter, frames)
+            got = original(self, priors, max_iter)
         outputs.append(got)
         return got
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nbqc.alist_io import load_matrix_file, parse_qc, serialize_full
@@ -131,11 +132,24 @@ def test_construct_rejects_unsupported_field_size_before_writing(tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.txt"]
 
 
-def test_construct_rejects_negative_seed(tmp_path, capsys):
+def construct_error(tmp_path, capsys, *flags):
+    """stderr of a construct of EX1 with these flags, which must fail and write nothing."""
     base = write(tmp_path / "ex1.txt", EX1)
     out = str(tmp_path / "x.alist")
-    assert main(["construct", base, "--s", "3", "--q", "4", "--seed", "-1", "--out", out]) == 1
-    assert "seed" in capsys.readouterr().err
+    assert main(["construct", base, "--s", "3", "--q", "4", *flags, "--out", out]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.txt"]
+    return capsys.readouterr().err
+
+
+def test_construct_rejects_negative_seed(tmp_path, capsys):
+    err = construct_error(tmp_path, capsys, "--seed", "-1")
+    assert err == "error: --seed must be an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--cycle-cap"])
+def test_construct_rejects_a_zero_count_naming_its_flag(tmp_path, capsys, flag):
+    err = construct_error(tmp_path, capsys, flag, "0")
+    assert err == f"error: {flag} must be an integer >= 1, got 0\n"
 
 
 @pytest.mark.filterwarnings("default")  # shown as the CLI shows them, not raised
@@ -540,7 +554,7 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
     assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 1
 
 
-# stderr for key errors, byte for byte; "seed" is the only spelling of the seed
+# stderr for key and seed errors, byte for byte; "seed" is the only spelling of the seed
 @pytest.mark.parametrize(
     "config,err",
     [
@@ -564,6 +578,14 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
         (
             {"modulation": "bpsk", "snr_db": [1]},
             "error: simulation config lacks required key 'max_frames'\n",
+        ),
+        (
+            {"modulation": "bpsk", "snr_db": [1], "max_frames": 5, "seed": -1},
+            "error: seed must be an integer >= 0, got -1\n",
+        ),
+        (
+            {"modulation": "bpsk", "snr_db": [1], "max_frames": 5, "seed": "7"},
+            "error: seed must be an integer >= 0, got '7'\n",
         ),
     ],
 )
@@ -619,6 +641,25 @@ def test_simulate_mistyped_config_fails_with_message(tmp_path, capsys, config, n
     assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def test_simulate_code_too_large_to_expand_fails_with_message(tmp_path, capsys, monkeypatch):
+    # a well-formed 1 x 2 base lifted with s = 10^6; the 10^6 x (2 * 10^6)
+    # allocation is made to fail here rather than requested for real
+    alist = write(tmp_path / "big.alist", "nbalist qc\npoly 7\n1 2 1000000 4\n1 1 0 1\n1 2 5 3\n")
+    real_zeros = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if np.prod(shape) >= 10**12:
+            raise MemoryError("Unable to allocate")
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    assert main(["simulate", alist, sim_config(tmp_path), "--out", str(tmp_path / "r.txt")]) == 1
+    assert capsys.readouterr().err == (
+        "error: 1000000 x 2000000 expanded matrix does not fit in memory\n"
+    )
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_simulate_snr_whose_noise_variance_overflows_fails_with_message(tmp_path, capsys):
