@@ -206,14 +206,15 @@ MAX_DEPTH = 12  # the paper's 8x66 base has 332,458 cycles up to length 12, 276,
 _WALK_CHUNK = 1 << 12  # open walks per step of the cycle enumeration: bounds its arrays
 
 
-def check_depth(depth) -> int:
-    """`depth` as an int; a ValueError unless it is an even integer from 4 to MAX_DEPTH."""
+def check_depth(depth, name: str = "depth") -> int:
+    """`depth` as an int if it is an even integer from 4 to MAX_DEPTH; else a ValueError
+    naming `name`."""
     if not isinstance(depth, numbers.Integral) or isinstance(depth, bool):
-        raise ValueError(f"depth must be an integer, got {depth!r}")
+        raise ValueError(f"{name} must be an integer, got {depth!r}")
     if depth < 4 or depth % 2:
-        raise ValueError("depth must be even and at least 4")
+        raise ValueError(f"{name} must be even and at least 4")
     if depth > MAX_DEPTH:
-        raise ValueError(f"depth above {MAX_DEPTH} is not supported")
+        raise ValueError(f"{name} above {MAX_DEPTH} is not supported")
     return int(depth)
 
 

@@ -34,6 +34,7 @@ from .channel import CodeInstance, SimConfig, build_code, run_monte_carlo
 from .lifter import (
     ConstructionConfig,
     Lifting,
+    check_field_order,
     check_int,
     cycles_eliminated,
     distance_upper_bound,
@@ -53,12 +54,16 @@ def cmd_construct(args) -> int:
     base = BaseMatrix.from_file(args.base)
     # an error names the flag that was typed, not the config field it sets
     for flag, value, low in (
+        ("--s", args.s, 2),
         ("--trials", args.trials, 1),
         ("--seed", args.seed, 0),
         ("--cycle-cap", args.cycle_cap, 1),
     ):
         if value is not None:
             check_int(flag, value, low)
+    check_field_order("--q", args.q)
+    if args.depth is not None:
+        check_depth(args.depth, "--depth")
     # a flag left out takes ConstructionConfig's default
     given = {
         "depth": args.depth,
@@ -137,7 +142,7 @@ def _analyze_base(base: BaseMatrix, depth: int, lifting: Lifting | None) -> None
 
 
 def cmd_analyze(args) -> int:
-    check_depth(args.depth)  # before loading: a full nbalist never reads the depth
+    check_depth(args.depth, "--depth")  # before loading: a full nbalist never reads the depth
     obj = load_matrix_file(args.matrix)
     if isinstance(obj, BaseMatrix):
         _analyze_base(obj, args.depth, None)

@@ -40,10 +40,14 @@ monomial divided out.  A and B are the same for every trial of e, and the
 cycle stays uneliminated under the draw (b, z) exactly when A = b x^z B:
 under every draw if A and B both vanish, under none if only one does, and
 otherwise under at most one draw per term of A (aligning B's first term
-with that term fixes (b, z); the rest of B must then land on A).  A
-rejected redraw restores the previous state, so the ACE vector a trial
-sees depends on its own draw only: the minimum over the fixed cycles (off
-e, or open under every draw) and over the cycles that draw keeps open.
+with that term fixes (b, z); the rest of B must then land on A).  When
+every cycle through e is chordless, with just its two alternate-edge
+matchings (always so on a column-weight-2 base), A and B are one term
+each and that one draw is read off in closed form; only an edge that
+meets a chorded cycle reaches the alignment search.  A rejected redraw
+restores the previous state, so the ACE vector a trial sees depends on
+its own draw only: the minimum over the fixed cycles (off e, or open
+under every draw) and over the cycles that draw keeps open.
 The trials of an edge are therefore scored from one such computation, and
 the accept/reject scan over them in draw order, with the random draws
 made in the same order, reproduces the one-trial-at-a-time construction
@@ -87,6 +91,18 @@ def check_int(name: str, value, low: int) -> int:
     return int(value)
 
 
+def check_field_order(name: str, value) -> int:
+    """`value` as an int if it is a field order with a default primitive polynomial;
+    else a ValueError naming `name`."""
+    value = check_int(name, value, 2)
+    orders = [1 << p for p in DEFAULT_PRIMITIVE_POLY]
+    if value not in orders:
+        raise ValueError(
+            f"{name} must be a power of 2 from {min(orders)} to {max(orders)}, got {value}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class ConstructionConfig:
     """Inputs of the greedy construction, checked on construction."""
@@ -99,16 +115,12 @@ class ConstructionConfig:
     cycle_cap: int | None = 100_000
 
     def __post_init__(self) -> None:
-        lows = {"s": 2, "q": 2, "trials_per_edge": 1, "rng_seed": 0}
+        lows = {"s": 2, "trials_per_edge": 1, "rng_seed": 0}
         if self.cycle_cap is not None:
             lows["cycle_cap"] = 1
         for name, low in lows.items():
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
-        orders = [1 << p for p in DEFAULT_PRIMITIVE_POLY]
-        if self.q not in orders:
-            raise ValueError(
-                f"q must be a power of 2 from {min(orders)} to {max(orders)}, got {self.q}"
-            )
+        object.__setattr__(self, "q", check_field_order("q", self.q))
         object.__setattr__(self, "depth", check_depth(self.depth))
 
     def make_field(self) -> GF:
@@ -333,6 +345,28 @@ def _open_draws(
     (always, cycle, key): `always` marks the cycles open under every draw,
     and cycle[t] stays open under the draw key[t] = log(beta) * s + shift.
     """
+    if local.size == 2 * n_cycles:
+        # every cycle is chordless: A and B are one term each, so the one draw
+        # that moves B's term onto A's keeps the cycle open
+        avoid = ~has_e
+        lg = (log_sum[avoid] - log_sum[has_e] + e_log) % (field.q - 1)
+        z = (shift_sum[avoid] - shift_sum[has_e] + e_shift) % s
+        return np.zeros(n_cycles, dtype=bool), np.arange(n_cycles), lg * s + z
+    return _aligned_draws(local, has_e, log_sum, shift_sum, e_log, e_shift, n_cycles, field, s)
+
+
+def _aligned_draws(
+    local: np.ndarray,
+    has_e: np.ndarray,
+    log_sum: np.ndarray,
+    shift_sum: np.ndarray,
+    e_log: int,
+    e_shift: int,
+    n_cycles: int,
+    field: GF,
+    s: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_open_draws for cycles of any number of matchings, by aligning A's and B's terms."""
     log, exp = field.log_table, field.exp_table
     order = field.q - 1
     avoid = ~has_e

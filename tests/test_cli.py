@@ -128,7 +128,7 @@ def test_construct_rejects_unsupported_field_size_before_writing(tmp_path, capsy
     assert main(["construct", base, "--s", "3", "--q", "512", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: q must be a power of 2 from 2 to 256, got 512\n"
+    assert captured.err == "error: --q must be a power of 2 from 2 to 256, got 512\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.txt"]
 
 
@@ -139,6 +139,11 @@ def construct_error(tmp_path, capsys, *flags):
     assert main(["construct", base, "--s", "3", "--q", "4", *flags, "--out", out]) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.txt"]
     return capsys.readouterr().err
+
+
+def test_construct_rejects_a_circulant_size_below_two(tmp_path, capsys):
+    err = construct_error(tmp_path, capsys, "--s", "1")
+    assert err == "error: --s must be an integer >= 2, got 1\n"
 
 
 def test_construct_rejects_negative_seed(tmp_path, capsys):
@@ -222,10 +227,10 @@ def test_analyze_full_nbalist_checks_depth(tmp_path, capsys):
     assert main(["analyze", full, "--depth", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: depth must be even and at least 4\n"
+    assert captured.err == "error: --depth must be even and at least 4\n"
 
 
-@pytest.mark.parametrize("depth", ["2", "3"])
+@pytest.mark.parametrize("depth", ["2", "3", "5"])
 def test_construct_and_analyze_reject_a_low_depth_alike(depth, tmp_path, capsys):
     base = write(tmp_path / "ex1.txt", EX1)
     out = str(tmp_path / "x.alist")
@@ -234,7 +239,7 @@ def test_construct_and_analyze_reject_a_low_depth_alike(depth, tmp_path, capsys)
     assert main(["analyze", base, "--depth", depth]) == 1
     analyze = capsys.readouterr()
     assert construct.out == analyze.out == ""
-    assert construct.err == analyze.err == "error: depth must be even and at least 4\n"
+    assert construct.err == analyze.err == "error: --depth must be even and at least 4\n"
 
 
 @pytest.mark.parametrize("name", ["base_8x66.txt", "gf64_8x66_s70.alist", "full"])
@@ -247,7 +252,7 @@ def test_analyze_rejects_depth_above_limit_before_loading(name, tmp_path, capsys
     assert main(["analyze", path, "--depth", "14"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: depth above 12 is not supported\n"
+    assert captured.err == "error: --depth above 12 is not supported\n"
 
 
 # `nbqc analyze --depth 8` stdout, byte for byte, per perfbench input

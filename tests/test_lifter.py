@@ -340,6 +340,76 @@ def test_greedy_matches_sequential_reference(kind, q, s, depth, seed):
     )
 
 
+def open_draws_inputs(lifting: Lifting, cycles):
+    """Per base edge e, _open_draws's arguments for e's cycles under this lifting."""
+    field, s = lifting.field, lifting.s
+    owner, edges = lifter._cycle_matchings(lifting.base, cycles)
+    log_sum = np.append(field.log_table[lifting.beta], 0)[edges].sum(axis=1) % (field.q - 1)
+    shift_sum = np.append(lifting.shift, 0)[edges].sum(axis=1) % s
+    for e in range(lifting.base.edge_rows.size):
+        hit = np.unique(owner[(edges == e).any(axis=1)])
+        rows = np.flatnonzero(np.isin(owner, hit))
+        yield (
+            np.searchsorted(hit, owner[rows]),
+            (edges[rows] == e).any(axis=1),
+            log_sum[rows],
+            shift_sum[rows],
+            int(field.log_table[lifting.beta[e]]),
+            int(lifting.shift[e]),
+            hit.size,
+            field,
+            s,
+        )
+
+
+@pytest.mark.parametrize("name,s,q", [("base_4x16.txt", 12, 16), ("base_8x66.txt", 70, 64)])
+def test_chordless_closed_form_matches_alignment_search(name, s, q):
+    h = BaseMatrix.from_file(INPUTS / name)
+    field = GF(q.bit_length() - 1)
+    lifting = random_lifting(np.random.default_rng(q), h, s, field)
+    for args in open_draws_inputs(lifting, all_cycles(h, 8)):
+        local, n_cycles = args[0], args[6]
+        assert local.size == 2 * n_cycles  # a weight-2 base: every cycle is chordless
+        always, cycle, key = lifter._open_draws(*args)
+        ref_always, ref_cycle, ref_key = lifter._aligned_draws(*args)
+        assert np.array_equal(always, ref_always)
+        assert sorted(zip(cycle.tolist(), key.tolist())) == sorted(
+            zip(ref_cycle.tolist(), ref_key.tolist())
+        )
+
+
+def test_greedy_takes_both_branches_on_a_mixed_weight_base(monkeypatch):
+    # columns 0 and 3 have weight 3, so some edges meet chorded cycles; the
+    # edges of the 4-cycle on rows 3, 4 x columns 4, 5 meet chordless ones only
+    h = BaseMatrix(
+        [
+            [1, 1, 1, 0, 0, 0],
+            [1, 1, 0, 1, 0, 0],
+            [1, 0, 1, 1, 0, 0],
+            [0, 0, 0, 1, 1, 1],
+            [0, 0, 0, 0, 1, 1],
+        ]
+    )
+    searched = []
+    aligned = lifter._aligned_draws
+
+    def counting(*args):
+        searched.append(args[6])
+        return aligned(*args)
+
+    monkeypatch.setattr(lifter, "_aligned_draws", counting)
+    cfg = ConstructionConfig(s=5, q=16, depth=8, trials_per_edge=4, rng_seed=2)
+    lifting, report = greedy_lift(h, cfg)
+    # edges that meet a cycle, each scored by one _open_draws call
+    with_cycles = sum(
+        args[6] > 0 for args in open_draws_inputs(Lifting.trivial(h, 5, F16), all_cycles(h, 8))
+    )
+    assert 0 < len(searched) < with_cycles
+    ref_lifting, ref_report = reference_greedy_lift(h, cfg)
+    assert serialize_qc(lifting) == serialize_qc(ref_lifting)
+    assert report.to_dict() == ref_report.to_dict()
+
+
 def test_greedy_lift_builds_no_cycle_objects(monkeypatch):
     built = []
     init = Cycle.__init__
