@@ -35,7 +35,7 @@ import hashlib
 import numpy as np
 
 from .base_graph import BaseMatrix, content_lines
-from .gf import GF
+from .gf import GF, check_degree
 from .lifter import Lifting
 
 MAGIC_FULL = "nbalist full"
@@ -77,8 +77,12 @@ def _header(text: str, magic: str, min_lines: int) -> tuple[list[tuple[int, str]
 def _field_for(lines: list[tuple[int, str]], q: int, poly: int) -> GF:
     """GF(q) under `poly`; errors name the dimensions line (q) or the poly line."""
     p = q.bit_length() - 1
-    if q < 2 or (1 << p) != q:
-        raise AlistFormatError(f"line {lines[2][0]}: q={q} is not a power of 2")
+    try:
+        if q < 2 or (1 << p) != q:
+            raise ValueError(f"q={q} is not a power of 2")
+        check_degree(p)
+    except ValueError as exc:
+        raise AlistFormatError(f"line {lines[2][0]}: {exc}") from None
     try:
         return GF(p, poly)
     except ValueError as exc:

@@ -253,7 +253,7 @@ class _WalkTables:
 
 
 def _grow_walks(tab: _WalkTables, cols: np.ndarray, rows: np.ndarray, max_k: int, out: list):
-    """Append to `out`, as (cols, rows) arrays, the cycles that extend the open walks.
+    """Append to out[k], as (cols, rows) arrays, the k-column cycles that extend the open walks.
 
     Walk w has visited the columns cols[w], from its start column cols[w, 0]
     up, joined by the rows rows[w]; every later column lies above the start.
@@ -274,7 +274,7 @@ def _grow_walks(tab: _WalkTables, cols: np.ndarray, rows: np.ndarray, max_k: int
     if width > 1:
         first = rows[w, 0]
         shut = tab.bits[i, start[w]] & (first < i)
-        out.append((cols[w[shut]], np.column_stack((rows[w[shut]], i[shut]))))
+        out[width].append((cols[w[shut]], np.column_stack((rows[w[shut]], i[shut]))))
     else:
         first = i
     if width + 1 < max_k:  # the next column is not the last: open walks
@@ -303,7 +303,7 @@ def _grow_walks(tab: _WalkTables, cols: np.ndarray, rows: np.ndarray, max_k: int
             & (first[u] < i2)
         )
         wu, u = wu[keep], u[keep]
-        out.append(
+        out[width + 1].append(
             (
                 np.column_stack((cols[wu], j2[keep])),
                 np.column_stack((rows[wu], i[u], i2[keep])),
@@ -315,14 +315,14 @@ def all_cycles(h: BaseMatrix, depth: int, cap: int | None = None) -> CycleList:
     """Every cycle of length <= depth, each once, as its oriented walk.
 
     A cycle is the walk cols[0], rows[0], cols[1], ..., cols[k-1], rows[k-1]
-    of Cycle.  Cycles come sorted by that sequence, compared entry by entry,
-    where a walk that has already closed sorts before every longer walk
-    through the same steps.  This is the order of a depth-first walk from
-    each column over larger columns, rows taken before the columns they
-    lead to, each ascending, a cycle recorded as the walk closes back to
-    its start.  `cap` keeps the first `cap` cycles, in that order, of each
-    (smallest column, length); `.truncated` tells whether it dropped any,
-    and each (column, length) it cut warns once, in that order.
+    of Cycle.  Cycles come by length, ascending, and each length in walk
+    order: sorted by that sequence, compared entry by entry.  This is the
+    order of a depth-first walk from each column over larger columns, rows
+    taken before the columns they lead to, each ascending, a cycle recorded
+    as the walk closes back to its start.  `cap` keeps the first `cap`
+    cycles, in that order, of each (length, smallest column); `.truncated`
+    tells whether it dropped any, and each (length, column) it cut warns
+    once, in that order.
 
     Walks grow one (row, column) step at a time as integer arrays of at
     most _WALK_CHUNK walks, so memory stays bounded at any depth.
@@ -332,9 +332,10 @@ def all_cycles(h: BaseMatrix, depth: int, cap: int | None = None) -> CycleList:
     tab = _WalkTables(h)
     # int32 walks halve the memory a deep enumeration holds
     start = np.arange(h.n, dtype=np.int32)[:, None]
-    found: list[tuple[np.ndarray, np.ndarray]] = []
+    found: list = [[] for _ in range(max_k + 1)]
     _grow_walks(tab, start, np.zeros((h.n, 0), dtype=np.int32), max_k, found)
-    # one row per cycle, padded with -1, which sorts before every index
+    found = [piece for width in found for piece in width][::-1]  # popped from the end
+    # one row per cycle, padded with -1
     cols = np.full((sum(len(c) for c, _ in found), max_k), -1, dtype=np.int32)
     rows = cols.copy()
     at = 0
@@ -343,21 +344,13 @@ def all_cycles(h: BaseMatrix, depth: int, cap: int | None = None) -> CycleList:
         cols[at : at + len(c), : c.shape[1]] = c
         rows[at : at + len(r), : r.shape[1]] = r
         at += len(c)
-    # sort by cols[:, 0], rows[:, 0], cols[:, 1], ...: one key per (column, row)
-    # step, padding lowest; lexsort's primary key is its last
-    step = np.multiply(cols + 1, h.m + 1, dtype=np.int64) + rows + 1
-    order = np.lexsort(step.T[::-1])
-    del step
-    cols, rows = cols[order], rows[order]
     truncated = False
     if cap is not None:
-        group = cols[:, 0] * (max_k + 1) + (cols >= 0).sum(axis=1)
-        by_group = np.argsort(group, kind="stable")
-        rank = np.empty(len(group), dtype=np.intp)
-        rank[by_group] = np.arange(len(group)) - np.searchsorted(group[by_group], group[by_group])
-        keep = rank < cap
+        # each (length, smallest column) is one run of a key that never decreases
+        group = (cols >= 0).sum(axis=1) * h.n + cols[:, 0]
+        keep = np.arange(len(group)) - np.searchsorted(group, group) < cap
         for g in np.unique(group[~keep]).tolist():
-            j, k = divmod(g, max_k + 1)
+            k, j = divmod(g, h.n)
             warnings.warn(
                 f"cycle cap {cap} reached for length {2 * k} at column {j}; "
                 "enumeration truncated",

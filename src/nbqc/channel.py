@@ -114,8 +114,8 @@ def make_modulation(name: str) -> Modulation:
         except ValueError:
             raise ValueError(f"unknown modulation {name!r}") from None
         k = order.bit_length() - 1
-        if order < 4 or (1 << k) != order or k % 2:
-            raise ValueError(f"QAM order must be a power of 4, got {order}")
+        if not 4 <= order <= 256 or (1 << k) != order or k % 2:
+            raise ValueError(f"QAM order must be a power of 4 from 4 to 256, got {order}")
         side = 1 << (k // 2)
         scale = math.sqrt(2.0 * (order - 1) / 3.0)
         levels = np.array([2 * _gray_decode(g) - (side - 1) for g in range(side)]) / scale

@@ -52,28 +52,21 @@ LOW_DISTANCE_THRESHOLD = 100
 # ----------------------------------------------------------------------
 def cmd_construct(args) -> int:
     base = BaseMatrix.from_file(args.base)
+    given = {}
     # an error names the flag that was typed, not the config field it sets
-    for flag, value, low in (
-        ("--s", args.s, 2),
-        ("--trials", args.trials, 1),
-        ("--seed", args.seed, 0),
-        ("--cycle-cap", args.cycle_cap, 1),
+    for flag, name, value in (
+        ("--s", "s", args.s),
+        ("--trials", "trials_per_edge", args.trials),
+        ("--seed", "rng_seed", args.seed),
+        ("--cycle-cap", "cycle_cap", args.cycle_cap),
     ):
         if value is not None:
-            check_int(flag, value, low)
+            given[name] = check_int(flag, value, ConstructionConfig.lows[name])
     check_field_order("--q", args.q)
     if args.depth is not None:
-        check_depth(args.depth, "--depth")
+        given["depth"] = check_depth(args.depth, "--depth")
     # a flag left out takes ConstructionConfig's default
-    given = {
-        "depth": args.depth,
-        "trials_per_edge": args.trials,
-        "rng_seed": args.seed,
-        "cycle_cap": args.cycle_cap,
-    }
-    cfg = ConstructionConfig(
-        s=args.s, q=args.q, **{k: v for k, v in given.items() if v is not None}
-    )
+    cfg = ConstructionConfig(q=args.q, **given)
     if args.seed is None:
         print(f"seed defaulted to {cfg.rng_seed}")
     lifting, report = greedy_lift(base, cfg)

@@ -19,7 +19,7 @@ choices):
 
 A different polynomial may be passed explicitly; it is rejected unless it
 is primitive (the element x must have multiplicative order 2^p - 1, which
-the table construction verifies as a side effect).
+the table construction verifies as a side effect).  Degrees run to 15.
 """
 
 from __future__ import annotations
@@ -38,27 +38,32 @@ DEFAULT_PRIMITIVE_POLY: dict[int, int] = {
 }
 
 
+def check_degree(p: int) -> None:
+    """A ValueError unless GF(2^p)'s elements fit mul_table's int16 entries."""
+    if not 1 <= p <= 15:
+        raise ValueError(f"GF(2^{p}) is not supported: the degree must be from 1 to 15")
+
+
 class GF:
     """The finite field GF(2^p) with table-driven arithmetic.
 
     Parameters
     ----------
     p : int
-        Extension degree, 1 <= p <= 8 with the default polynomials.
+        Extension degree, 1 <= p <= 15; 1 <= p <= 8 with the default polynomials.
     primitive_poly : int, optional
         Bit-encoded primitive polynomial of degree p over GF(2).
         Defaults to the conventional polynomial for the degree.
     """
 
     def __init__(self, p: int, primitive_poly: int | None = None) -> None:
+        check_degree(p)
         if primitive_poly is None:
             if p not in DEFAULT_PRIMITIVE_POLY:
                 raise ValueError(
                     f"no default primitive polynomial for p={p}; supply one explicitly"
                 )
             primitive_poly = DEFAULT_PRIMITIVE_POLY[p]
-        if p < 1:
-            raise ValueError(f"extension degree must be positive, got {p}")
         if primitive_poly >> p != 1:
             raise ValueError(
                 f"primitive polynomial {bin(primitive_poly)} does not have degree {p}"
@@ -111,12 +116,15 @@ class GF:
     # ------------------------------------------------------------------
     @property
     def mul_table(self) -> np.ndarray:
-        """Full q x q multiplication table (built lazily, read-only)."""
+        """Full q x q int16 multiplication table (built lazily, read-only)."""
         if self._mul_table is None:
-            table = self.exp_table[np.add.outer(self.log_table, self.log_table)]
-            table[0, :] = 0
-            table[:, 0] = 0
-            table = table.astype(np.int16)
+            try:
+                table = np.zeros((self.q, self.q), dtype=np.int16)
+                log = self.log_table[1:]
+                table[1:, 1:] = self.exp_table[np.add.outer(log, log)]
+            except MemoryError:
+                message = f"the GF(2^{self.p}) multiplication table does not fit in memory"
+                raise ValueError(message) from None
             table.setflags(write=False)
             self._mul_table = table
         return self._mul_table

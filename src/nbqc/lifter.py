@@ -63,6 +63,7 @@ import math
 import numbers
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -113,13 +114,13 @@ class ConstructionConfig:
     trials_per_edge: int = 100
     rng_seed: int = 0
     cycle_cap: int | None = 100_000
+    # the least value of each integer field; cmd_construct checks its flags by it too
+    lows: ClassVar[dict[str, int]] = {"s": 2, "trials_per_edge": 1, "rng_seed": 0, "cycle_cap": 1}
 
     def __post_init__(self) -> None:
-        lows = {"s": 2, "trials_per_edge": 1, "rng_seed": 0}
-        if self.cycle_cap is not None:
-            lows["cycle_cap"] = 1
-        for name, low in lows.items():
-            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+        for name, low in self.lows.items():
+            if name != "cycle_cap" or self.cycle_cap is not None:  # None: no cap
+                object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         object.__setattr__(self, "q", check_field_order("q", self.q))
         object.__setattr__(self, "depth", check_depth(self.depth))
 
@@ -185,8 +186,9 @@ class Lifting:
         """
         s = self.s
         rows, cols = self.base.m * s, self.base.n * s
+        dtype = self.field.mul_table.dtype  # read first: a table too big names the field
         try:
-            out = np.zeros((rows, cols), dtype=self.field.mul_table.dtype)
+            out = np.zeros((rows, cols), dtype=dtype)
         except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
             raise ValueError(f"{rows} x {cols} expanded matrix does not fit in memory") from None
         out[lifted_edges(self.base, self.shift, s)] = self.beta[:, None]
@@ -242,10 +244,10 @@ class ConstructionReport:
 def _cycle_matchings(base: BaseMatrix, cycles: CycleList) -> tuple[np.ndarray, np.ndarray]:
     """Perfect matchings of every cycle's submatrix over its rows x cols.
 
-    Returns (owner, edges) sorted by owner: row t of `edges` is a matching
-    of cycles[owner[t]], as base edge numbers.  Matchings of shorter
-    cycles are padded with the number of base edges, an edge that the
-    per-edge arrays hold at beta = 1, shift 0.
+    Returns (owner, edges), owner ascending when the cycles come by length
+    as all_cycles returns them: row t of `edges` is a matching of
+    cycles[owner[t]], as base edge numbers.  Matchings of shorter cycles are
+    padded with the number of base edges, an edge held at beta = 1, shift 0.
 
     Partial matchings grow one row of the walk at a time, through each
     still free column the row meets; every perfect matching is one such
@@ -274,9 +276,7 @@ def _cycle_matchings(base: BaseMatrix, cycles: CycleList) -> tuple[np.ndarray, n
                 block[:, t] = step[which, p]
             owners.append(ids[lo + owner])
             found.append(block)
-    owner = np.concatenate(owners)
-    order = np.argsort(owner, kind="stable")
-    return owner[order], np.concatenate(found)[order]
+    return np.concatenate(owners), np.concatenate(found)
 
 
 def _xor_terms(

@@ -331,6 +331,10 @@ ANALYZE_STDOUT_DEPTH_10 = (
     "circulant size: 70, field order: 64\n"
     "expanded girth: 4\n"
 )
+# and at --depth 12, the deepest spectrum
+ANALYZE_STDOUT_DEPTH_12 = ANALYZE_STDOUT_DEPTH_10.replace(
+    "circulant size:", "length 12: 276720 cycles, min ACE 0; 59 surviving, min ACE 0\ncirculant size:"
+)
 
 
 @pytest.mark.parametrize(
@@ -339,7 +343,10 @@ ANALYZE_STDOUT_DEPTH_10 = (
     + [
         pytest.param(
             "gf64_8x66_s70.alist", 10, ANALYZE_STDOUT_DEPTH_10, id="gf64_8x66_s70.alist-10"
-        )
+        ),
+        pytest.param(
+            "gf64_8x66_s70.alist", 12, ANALYZE_STDOUT_DEPTH_12, id="gf64_8x66_s70.alist-12"
+        ),
     ],
 )
 def test_analyze_stdout_is_byte_identical(name, depth, want, capsys):
@@ -592,6 +599,10 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
             {"modulation": "bpsk", "snr_db": [1], "max_frames": 5, "seed": "7"},
             "error: seed must be an integer >= 0, got '7'\n",
         ),
+        (
+            {"modulation": "4294967296qam", "snr_db": [1], "max_frames": 5},
+            "error: QAM order must be a power of 4 from 4 to 256, got 4294967296\n",
+        ),
     ],
 )
 def test_simulate_config_key_errors_are_pinned(tmp_path, capsys, config, err):
@@ -663,6 +674,41 @@ def test_simulate_code_too_large_to_expand_fails_with_message(tmp_path, capsys, 
     assert main(["simulate", alist, sim_config(tmp_path), "--out", str(tmp_path / "r.txt")]) == 1
     assert capsys.readouterr().err == (
         "error: 1000000 x 2000000 expanded matrix does not fit in memory\n"
+    )
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_field_beyond_the_int16_table_fails_on_the_dimensions_line(tmp_path, capsys, command):
+    # x^31 + x^3 + 1 is primitive; GF(2^31) used to end in a MemoryError traceback
+    alist = write(tmp_path / "q31.alist", "nbalist qc\npoly 2147483657\n2 2 3 2147483648\n1 1 0 1\n")
+    extra = {"analyze": [], "simulate": [sim_config(tmp_path), "--out", str(tmp_path / "r.txt")]}
+    assert main([command, alist, *extra[command]]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 3: GF(2^31) is not supported: the degree must be from 1 to 15\n"
+    )
+
+
+def test_simulate_field_whose_multiplication_table_does_not_fit_fails_with_message(
+    tmp_path, capsys, monkeypatch
+):
+    # GF(2^15) under x^15 + x + 1, the largest field; its 2^15 x 2^15 table is
+    # made to fail here rather than requested for real
+    alist = write(
+        tmp_path / "q15.alist",
+        "nbalist qc\npoly 32771\n2 2 3 32768\n1 1 0 1\n1 2 1 1\n2 1 2 1\n2 2 0 1\n",
+    )
+    real_zeros = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if np.prod(shape) >= 1 << 30:
+            raise MemoryError("Unable to allocate")
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    assert main(["simulate", alist, sim_config(tmp_path), "--out", str(tmp_path / "r.txt")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the GF(2^15) multiplication table does not fit in memory\n"
     )
     assert not (tmp_path / "r.txt").exists()
 

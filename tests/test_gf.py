@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -85,6 +87,15 @@ def test_non_primitive_polynomials_rejected():
         GF(4, primitive_poly=0b10101)
     with pytest.raises(ValueError):
         GF(4, primitive_poly=0b111)  # wrong degree
+
+
+def test_degree_is_capped_where_int16_table_entries_end():
+    # x^15 + x + 1 is primitive: the largest field whose elements fit int16
+    assert GF(15, primitive_poly=0b1000000000000011).q == 1 << 15
+    for p, poly in ((16, 0b10000000000101101), (0, 0b1)):
+        message = f"GF(2^{p}) is not supported: the degree must be from 1 to 15"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GF(p, primitive_poly=poly)
 
 
 def test_custom_primitive_polynomial_accepted():

@@ -19,7 +19,7 @@ from helpers import (
     reference_greedy_lift,
 )
 from nbqc.alist_io import serialize_qc
-from nbqc.base_graph import BaseMatrix, Cycle, all_cycles, girth, weight2_base
+from nbqc.base_graph import BaseMatrix, Cycle, CycleList, all_cycles, girth, weight2_base
 from nbqc.gf import GF
 from nbqc import lifter
 from nbqc.lifter import (
@@ -165,6 +165,7 @@ def test_cycle_matchings_match_permutation_search(chunk, monkeypatch):
         for c, found in zip(cycles, got):
             assert found == reference_cycle_matchings(base, c), c
             most = max(most, len(found))
+        assert (np.diff(owner) >= 0).all()  # cycles by length: owners ascend
     assert most > 2  # chords give some cycle more than its two alternating matchings
 
 
@@ -378,18 +379,21 @@ def test_chordless_closed_form_matches_alignment_search(name, s, q):
         )
 
 
+# columns 0 and 3 have weight 3, so some edges meet chorded cycles; the
+# edges of the 4-cycle on rows 3, 4 x columns 4, 5 meet chordless ones only
+MIXED_WEIGHT = BaseMatrix(
+    [
+        [1, 1, 1, 0, 0, 0],
+        [1, 1, 0, 1, 0, 0],
+        [1, 0, 1, 1, 0, 0],
+        [0, 0, 0, 1, 1, 1],
+        [0, 0, 0, 0, 1, 1],
+    ]
+)
+
+
 def test_greedy_takes_both_branches_on_a_mixed_weight_base(monkeypatch):
-    # columns 0 and 3 have weight 3, so some edges meet chorded cycles; the
-    # edges of the 4-cycle on rows 3, 4 x columns 4, 5 meet chordless ones only
-    h = BaseMatrix(
-        [
-            [1, 1, 1, 0, 0, 0],
-            [1, 1, 0, 1, 0, 0],
-            [1, 0, 1, 1, 0, 0],
-            [0, 0, 0, 1, 1, 1],
-            [0, 0, 0, 0, 1, 1],
-        ]
-    )
+    h = MIXED_WEIGHT
     searched = []
     aligned = lifter._aligned_draws
 
@@ -408,6 +412,34 @@ def test_greedy_takes_both_branches_on_a_mixed_weight_base(monkeypatch):
     ref_lifting, ref_report = reference_greedy_lift(h, cfg)
     assert serialize_qc(lifting) == serialize_qc(ref_lifting)
     assert report.to_dict() == ref_report.to_dict()
+
+
+@pytest.mark.parametrize(
+    "h,cfg",
+    [
+        (
+            BaseMatrix.from_file(INPUTS / "base_4x16.txt"),
+            ConstructionConfig(s=12, q=16, depth=8, trials_per_edge=20, rng_seed=3),
+        ),
+        # some edge's draws keep open cycles of one length but different ACE here
+        (MIXED_WEIGHT, ConstructionConfig(s=5, q=16, depth=8, trials_per_edge=20, rng_seed=1)),
+    ],
+    ids=["4x16", "mixed-weight"],
+)
+def test_greedy_lift_does_not_depend_on_the_order_within_a_length(h, cfg, monkeypatch):
+    def outputs():
+        lifting, report = greedy_lift(h, cfg)
+        return serialize_qc(lifting), json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+    def reversed_within_lengths(base, depth, cap=None):
+        cycles = all_cycles(base, depth, cap)
+        order = np.lexsort((-np.arange(len(cycles)), cycles.lengths))
+        return CycleList(cycles.cols[order], cycles.rows[order], cycles.truncated)
+
+    assert reversed_within_lengths(h, cfg.depth) != all_cycles(h, cfg.depth)
+    want = outputs()
+    monkeypatch.setattr(lifter, "all_cycles", reversed_within_lengths)
+    assert outputs() == want
 
 
 def test_greedy_lift_builds_no_cycle_objects(monkeypatch):
