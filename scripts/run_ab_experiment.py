@@ -58,7 +58,7 @@ def main():
     for name, lifting in (("trivial", trivial), ("greedy", greedy)):
         code = build_code(lifting)
         print(f"{name}: N={code.n} K={code.k} rate={code.rate:.4f}")
-        results[name] = run_monte_carlo(code, sim, batch_size=400)
+        results[name] = run_monte_carlo(code, sim)
 
     print(f"\n{'snr_db':>7} {'trivial BLER':>14} {'greedy BLER':>14} {'ratio':>8}")
     for pt, pg in zip(results["trivial"].points, results["greedy"].points):

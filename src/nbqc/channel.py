@@ -73,6 +73,7 @@ from .lifter import Lifting, check_int
 from .linalg import gf_matmul, gf_rref, gf_sparse_matmul
 
 _PROB_FLOOR = 1e-30
+_BATCH_FRAMES = 64  # most frames per Monte-Carlo batch; results do not depend on it
 # bytes of decoder messages per frame chunk, or of demapper distances per block
 _CHUNK_BYTES = 4 << 20
 
@@ -723,7 +724,7 @@ class SimResult:
         return "\n".join(lines) + "\n"
 
 
-def wilson_interval(errors: int, n: int, z: float = 1.959964) -> tuple[float, float]:
+def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion.
 
     The bounds are exactly 0 at 0 errors and 1 at n errors, where the
@@ -732,6 +733,7 @@ def wilson_interval(errors: int, n: int, z: float = 1.959964) -> tuple[float, fl
     if n == 0:
         return 0.0, 1.0
     phat = errors / n
+    z = 1.959964  # the standard normal's 97.5% quantile
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n))
@@ -755,27 +757,23 @@ class _Demapped:
         return symbol_likelihoods(self.rx[frames], *self.args)
 
 
-def run_monte_carlo(
-    code: CodeInstance, cfg: SimConfig, batch_size: int = 64
-) -> SimResult:
+def run_monte_carlo(code: CodeInstance, cfg: SimConfig) -> SimResult:
     """Frame-error simulation over the configured SNR points.
 
     Each point decodes frames until `max_frames` frames, or until the
-    frame that brings its errors to `max_errors`.  Every frame draws its
-    information symbols and its noise from a generator seeded by
-    (rng_seed, global frame index), and the index advances only over
-    counted frames, so results are exactly the same at every batch size
-    and across runs with one seed.
+    frame that brings its errors to `max_errors`.  Frame t of every point
+    draws its information symbols and its noise from a generator seeded by
+    (rng_seed, t), so a point's results depend on its own SNR and budget
+    alone, and are exactly the same at every batch size and across runs
+    with one seed.
 
-    A batch is at most `batch_size` frames and the frames left, and at
+    A batch is at most _BATCH_FRAMES frames and the frames left, and at
     most the frames the point's error rate so far needs to reach
     `max_errors`: ceil((max_errors - errors) * frames / errors), with a
     point that has no errors yet counted as if it had one (and at least
     one frame).  Frames past the stopping one are dropped uncounted, so a
     shorter batch only saves decoding.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     modulation = make_modulation(cfg.modulation)
     decoder = code.decoder()
     p = code.field.p
@@ -785,19 +783,18 @@ def run_monte_carlo(
             f"{modulation.bits_per_symbol} bits per channel symbol"
         )
     n_obs = code.n * p // modulation.bits_per_symbol
-    frame_counter = 0
     points = []
     for snr_db in cfg.snr_db:
         frames = errors = 0
         iter_sum = 0
         while frames < cfg.max_frames and errors < cfg.max_errors:
             needed = -(-(cfg.max_errors - errors) * max(frames, 1) // max(errors, 1))
-            b = min(batch_size, cfg.max_frames - frames, needed)
+            b = min(_BATCH_FRAMES, cfg.max_frames - frames, needed)
             info = np.zeros((b, code.k), dtype=np.int64)
             noise = np.empty((b, n_obs), dtype=complex)
             sigma = noise_sigma(snr_db)
             for t in range(b):
-                rng = np.random.default_rng([cfg.rng_seed, frame_counter + t])
+                rng = np.random.default_rng([cfg.rng_seed, frames + t])
                 info[t] = rng.integers(0, code.field.q, size=code.k)
                 noise[t].real, noise[t].imag = rng.normal(scale=sigma, size=(2, n_obs))
             tx_words = code.encode(info)
@@ -810,7 +807,6 @@ def run_monte_carlo(
             used = min(b, int(np.searchsorted(failed, cfg.max_errors - errors)) + 1)
             errors += int(failed[used - 1])
             frames += used
-            frame_counter += used
             iter_sum += int(iters[:used].sum())
         points.append(
             SnrPoint(

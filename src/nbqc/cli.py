@@ -260,7 +260,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except (ValueError, AlistFormatError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, AlistFormatError, OSError, json.JSONDecodeError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

@@ -51,10 +51,10 @@ under every draw) and over the cycles that draw keeps open.
 The trials of an edge are therefore scored from one such computation, and
 the accept/reject scan over them in draw order, with the random draws
 made in the same order, reproduces the one-trial-at-a-time construction
-exactly.  The matchings and the cycles through each edge depend on the
-base alone, so they are listed once, before the first draw, in two arrays
-sorted by edge; each edge reads from them the matchings of its cycles and
-which of those use it.
+exactly.  The matchings depend on the base alone, so they are listed
+once, before the first draw, with the matchings through each edge in one
+array sorted by edge; their owners are the edge's cycles, from which it
+reads the matchings of its cycles and which of those use it.
 """
 
 from __future__ import annotations
@@ -344,32 +344,18 @@ def _open_draws(
     e's own monomial is beta = exp[e_log], shift e_shift.  Returns
     (always, cycle, key): `always` marks the cycles open under every draw,
     and cycle[t] stays open under the draw key[t] = log(beta) * s + shift.
+    Chordless cycles are read in closed form, any others by aligning the
+    terms of A and B (see the module docstring).
     """
-    if local.size == 2 * n_cycles:
-        # every cycle is chordless: A and B are one term each, so the one draw
-        # that moves B's term onto A's keeps the cycle open
-        avoid = ~has_e
-        lg = (log_sum[avoid] - log_sum[has_e] + e_log) % (field.q - 1)
-        z = (shift_sum[avoid] - shift_sum[has_e] + e_shift) % s
-        return np.zeros(n_cycles, dtype=bool), np.arange(n_cycles), lg * s + z
-    return _aligned_draws(local, has_e, log_sum, shift_sum, e_log, e_shift, n_cycles, field, s)
-
-
-def _aligned_draws(
-    local: np.ndarray,
-    has_e: np.ndarray,
-    log_sum: np.ndarray,
-    shift_sum: np.ndarray,
-    e_log: int,
-    e_shift: int,
-    n_cycles: int,
-    field: GF,
-    s: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_open_draws for cycles of any number of matchings, by aligning A's and B's terms."""
     log, exp = field.log_table, field.exp_table
     order = field.q - 1
     avoid = ~has_e
+    if local.size == 2 * n_cycles:
+        # every cycle is chordless: A and B are one term each, so the one draw
+        # that moves B's term onto A's keeps the cycle open
+        lg = (log_sum[avoid] - log_sum[has_e] + e_log) % order
+        z = (shift_sum[avoid] - shift_sum[has_e] + e_shift) % s
+        return np.zeros(n_cycles, dtype=bool), np.arange(n_cycles), lg * s + z
     ga, za, ba = _xor_terms(local[avoid], shift_sum[avoid], exp[log_sum[avoid]], s)
     gb, zb, bb = _xor_terms(
         local[has_e],
@@ -429,14 +415,6 @@ def greedy_lift(
     match = np.argsort(flat.astype(np.min_scalar_type(n_edges)), kind="stable")[: e_ptr[-1]]
     match = match.astype(np.int32) // edges.shape[1]
     del flat, edges  # the largest arrays; the trial loop reads match instead
-    # the cycles through edge e, ascending: cyc[cyc_ptr[e]:cyc_ptr[e + 1]]
-    cycle = owner[match]
-    new = np.ones(cycle.size, dtype=bool)  # where the cycle or the edge changes
-    new[1:] = cycle[1:] != cycle[:-1]
-    new[e_ptr[:-1][np.diff(e_ptr) > 0]] = True
-    cyc = cycle[new].astype(np.int32)
-    cyc_ptr = np.concatenate(([0], np.cumsum(new)))[e_ptr]
-    del cycle, new
     # every edge starts at beta = 1, shift 0: each matching's term is x^0
     edge_log = np.zeros(n_edges, dtype=np.int64)
     edge_shift = np.zeros(n_edges, dtype=np.int64)
@@ -465,8 +443,12 @@ def greedy_lift(
         draws = rng.integers(low, high).reshape(n_trials, 2)
         keys = log[draws[:, 0]] * s + draws[:, 1]
 
-        hit = cyc[cyc_ptr[e] : cyc_ptr[e + 1]]
         mine = match[e_ptr[e] : e_ptr[e + 1]]
+        # e's cycles, each once: the owners of its matchings (match and owner both ascend)
+        own = owner[mine]
+        first = np.ones(own.size, dtype=bool)
+        first[1:] = own[1:] != own[:-1]
+        hit = own[first]
         # the matchings of e's cycles, cycle by cycle: ascending, so e's own are found by search
         per_cycle = m_count[hit]
         rows = ranges(m_start[hit], per_cycle)

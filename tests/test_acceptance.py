@@ -263,8 +263,8 @@ def test_criterion_8_construction_benefit():
         decoder_max_iterations=30,
         rng_seed=5,
     )
-    pt_trivial = run_monte_carlo(code_trivial, sim, batch_size=400).points[0]
-    pt_greedy = run_monte_carlo(code_greedy, sim, batch_size=400).points[0]
+    pt_trivial = run_monte_carlo(code_trivial, sim).points[0]
+    pt_greedy = run_monte_carlo(code_greedy, sim).points[0]
 
     trivial_near_tenth = 0.05 <= pt_trivial.bler <= 0.2
     greedy_hi = pt_greedy.confidence_interval[1]

@@ -8,7 +8,6 @@ stricter config check could reject them unnoticed.
 """
 
 import importlib.util
-import inspect
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -16,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from nbqc.channel import _chunk_size, run_monte_carlo
+from nbqc.channel import _BATCH_FRAMES, _chunk_size
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -78,11 +77,10 @@ def test_traced_construct_job_reads_its_cycles(tmp_path):
 def test_n4620_batches_split_by_bytes_and_n192_batches_by_cpus():
     # the two simulate workloads sit on either side of the decoder's chunk-size min:
     # N=4620 gets one-frame chunks (the byte fit binds), N=192 per-CPU chunks
-    cli_batch = inspect.signature(run_monte_carlo).parameters["batch_size"].default
-    big = WORKLOADS["simulate_n4620_64qam"]()
-    big_fit, big_batch = big.setup().code.decoder().chunk_frames, min(cli_batch, big.frames)
-    small = WORKLOADS["simulate_n192_bpsk"]()
-    small_fit, small_batch = small.setup().code.decoder().chunk_frames, min(cli_batch, small.frames)
+    big, small = WORKLOADS["simulate_n4620_64qam"](), WORKLOADS["simulate_n192_bpsk"]()
+    big_fit, big_batch = big.setup().code.decoder().chunk_frames, min(_BATCH_FRAMES, big.frames)
+    small_fit = small.setup().code.decoder().chunk_frames
+    small_batch = min(_BATCH_FRAMES, small.frames)
     assert big_fit == 1 < big_batch and small_batch == 64 < small_fit
     for cpus in (1, 2, 3):
         assert _chunk_size(big_batch, big_fit, cpus) == 1

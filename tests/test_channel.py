@@ -1,5 +1,6 @@
 import math
 import concurrent.futures
+import dataclasses
 import sys
 import threading
 import warnings
@@ -867,21 +868,23 @@ def test_q256_decoding_stays_finite_at_high_snr(monkeypatch):
 # ----------------------------------------------------------------------
 # Monte-Carlo driver
 # ----------------------------------------------------------------------
-def test_monte_carlo_deterministic_and_batch_invariant():
+def test_monte_carlo_deterministic_and_batch_invariant(monkeypatch):
     code = toy_code()
     cfg = SimConfig(
         modulation="bpsk", snr_db=(0.0, 2.0), max_frames=300, max_errors=10**9, rng_seed=7
     )
     r1 = run_monte_carlo(code, cfg)
     r2 = run_monte_carlo(code, cfg)
-    r3 = run_monte_carlo(code, cfg, batch_size=11)
+    monkeypatch.setattr(channel, "_BATCH_FRAMES", 11)
+    r3 = run_monte_carlo(code, cfg)
     assert r1 == r2 == r3
     assert r1.to_text() == r3.to_text()
 
 
 def test_monte_carlo_draws_each_frame_from_its_own_stream(monkeypatch):
-    # frame i's stream, default_rng([seed, i]), gives its information symbols,
-    # then the real and then the imaginary part of its noise
+    # frame i of every SNR point has the stream default_rng([seed, i]), which
+    # gives its information symbols, then the real and then the imaginary
+    # part of its noise
     code = toy_code()
     n_obs = code.n * 2  # BPSK: one observation per bit of GF(4)
     batches = []
@@ -905,30 +908,47 @@ def test_monte_carlo_draws_each_frame_from_its_own_stream(monkeypatch):
     # one-frame chunks demapped in frame order: a batch's samples are its calls' in turn
     monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(channel, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(channel, "_BATCH_FRAMES", 2)
     for seed in (0, 7, 123):
         batches.clear()
         cfg = SimConfig(modulation="bpsk", snr_db=(1.0, 4.0), max_frames=3, rng_seed=seed)
-        run_monte_carlo(code, cfg, batch_size=2)
-        index = 0
+        run_monte_carlo(code, cfg)
+        index = {1.0: 0, 4.0: 0}  # per SNR point, the next frame's index
         for info, chunks, snr_db in batches:
             assert [len(rx) for rx in chunks] == [1] * len(info)
             rx = np.concatenate(chunks)
             sigma = noise_sigma(snr_db)
             for t in range(len(info)):
-                rng = np.random.default_rng([seed, index])
+                rng = np.random.default_rng([seed, index[snr_db]])
                 assert np.array_equal(info[t], rng.integers(0, 4, size=code.k))
                 assert np.array_equal(rx[t].real, rng.normal(scale=sigma, size=n_obs))
                 assert np.array_equal(rx[t].imag, rng.normal(scale=sigma, size=n_obs))
-                index += 1
-        assert index == 6  # three frames at each SNR point, in two or more batches
+                index[snr_db] += 1
+        assert index == {1.0: 3, 4.0: 3}  # three frames at each SNR point, in two batches
 
 
-def test_monte_carlo_early_stop_is_batch_size_independent():
+def test_monte_carlo_point_alone_equals_the_point_among_others():
+    # a point's frames do not depend on how many frames the points before it
+    # used: here the first point stops early and the others run all 150
+    cfg = SimConfig(
+        modulation="bpsk", snr_db=(-8.0, -1.0, 2.0), max_frames=150, max_errors=20, rng_seed=6
+    )
+    together = run_monte_carlo(toy_code(), cfg).points
+    assert [pt.frames for pt in together] == [89, 150, 150]
+    for point in together:
+        alone = dataclasses.replace(cfg, snr_db=(point.snr_db,))
+        assert run_monte_carlo(toy_code(), alone).points == (point,)
+
+
+def test_monte_carlo_early_stop_is_batch_size_independent(monkeypatch):
     # the first point stops at its 20th error; the second runs all its frames
     cfg = SimConfig(
         modulation="bpsk", snr_db=(-8.0, -1.0), max_frames=400, max_errors=20, rng_seed=6
     )
-    results = {b: run_monte_carlo(toy_code(), cfg, batch_size=b) for b in (1, 7, 64, 400)}
+    results = {}
+    for b in (1, 7, 64, 400):
+        monkeypatch.setattr(channel, "_BATCH_FRAMES", b)
+        results[b] = run_monte_carlo(toy_code(), cfg)
     first = results[1].points[0]
     assert first.errors == 20 and first.frames < 400
     assert results[1].points[1].frames == 400
@@ -939,7 +959,8 @@ def test_monte_carlo_early_stop_is_batch_size_independent():
 def test_monte_carlo_early_stop_sizes_batches_by_missing_errors(monkeypatch):
     # one 400-frame batch would decode 400 frames and count 89 of them
     cfg = SimConfig(modulation="bpsk", snr_db=(-8.0,), max_frames=400, max_errors=20, rng_seed=6)
-    want = run_monte_carlo(toy_code(), cfg, batch_size=1)
+    monkeypatch.setattr(channel, "_BATCH_FRAMES", 1)
+    want = run_monte_carlo(toy_code(), cfg)
     decoded = []
     original = QspaDecoder.decode_batch
 
@@ -948,7 +969,8 @@ def test_monte_carlo_early_stop_sizes_batches_by_missing_errors(monkeypatch):
         return original(self, priors, max_iter)
 
     monkeypatch.setattr(QspaDecoder, "decode_batch", counting)
-    got = run_monte_carlo(toy_code(), cfg, batch_size=400)
+    monkeypatch.setattr(channel, "_BATCH_FRAMES", 400)
+    got = run_monte_carlo(toy_code(), cfg)
     assert got == want and (got.points[0].frames, got.points[0].errors) == (89, 20)
     # max_errors frames first, then the 16 missing errors at 4 errors in 20 frames
     assert decoded == [20, 80]
@@ -1078,13 +1100,6 @@ def test_monte_carlo_demap_error_in_a_worker_reaches_the_caller(pool_sizes, monk
     assert len(calls) < 30  # the workers stopped before the queue was empty
 
 
-@pytest.mark.parametrize("batch_size", [0, -3])
-def test_monte_carlo_rejects_empty_batches(batch_size):
-    cfg = SimConfig(modulation="bpsk", snr_db=(1.0,), max_frames=5, max_errors=5)
-    with pytest.raises(ValueError, match="batch_size must be at least 1"):
-        run_monte_carlo(toy_code(), cfg, batch_size=batch_size)
-
-
 def test_monte_carlo_high_snr_error_free():
     cfg = SimConfig(
         modulation="bpsk", snr_db=(60.0,), max_frames=200, max_errors=10**9, rng_seed=1
@@ -1094,7 +1109,7 @@ def test_monte_carlo_high_snr_error_free():
     assert result.points[0].frames == 200
 
 
-def test_monte_carlo_max_errors_stops_early():
+def test_monte_carlo_max_errors_stops_early(monkeypatch):
     cfg = SimConfig(
         modulation="bpsk",
         snr_db=(-12.0,),
@@ -1102,7 +1117,8 @@ def test_monte_carlo_max_errors_stops_early():
         max_errors=25,
         rng_seed=2,
     )
-    result = run_monte_carlo(toy_code(), cfg, batch_size=16)
+    monkeypatch.setattr(channel, "_BATCH_FRAMES", 16)
+    result = run_monte_carlo(toy_code(), cfg)
     pt = result.points[0]
     assert pt.errors >= 25
     assert pt.frames < 100_000

@@ -521,11 +521,13 @@ def test_simulate_matches_direct_library_call(tmp_path, capsys):
 
 
 # `nbqc simulate` on the acceptance-criterion-8 code: the 1.5 dB point stops
-# at its 20th error, the 3.0 dB point runs all its frames
+# at its 20th error, the 3.0 dB point runs all its frames; each point
+# numbers its frames from 0, so the 3.0 dB line is that of a run of the
+# 3.0 dB point alone
 PINNED_SIMULATE = """\
 # snr_db frames errors bler ci95_low ci95_high avg_iterations
 1.5 147 20 1.360544e-01 8.983087e-02 2.008151e-01 9.605
-3 200 0 0.000000e+00 0.000000e+00 1.884533e-02 2.210
+3 200 0 0.000000e+00 0.000000e+00 1.884533e-02 2.155
 """
 
 
@@ -676,6 +678,42 @@ def test_simulate_code_too_large_to_expand_fails_with_message(tmp_path, capsys, 
         "error: 1000000 x 2000000 expanded matrix does not fit in memory\n"
     )
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_analyze_lifting_too_large_to_expand_fails_with_message(tmp_path, capsys, monkeypatch):
+    # a 1 x 2 base lifted with s = 10^13, whose expanded girth starts from
+    # np.arange(s): that 72.8 TiB allocation is made to fail here
+    alist = write(tmp_path / "big.alist", "nbalist qc\npoly 7\n1 2 10000000000000 4\n1 1 0 1\n")
+    real_arange = np.arange
+
+    def arange(stop, *args, **kwargs):
+        if stop >= 10**12:
+            raise MemoryError("Unable to allocate 72.8 TiB")
+        return real_arange(stop, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", arange)
+    assert main(["analyze", alist]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 72.8 TiB\n"
+
+
+def test_construct_too_many_trials_fails_with_message(tmp_path, capsys, monkeypatch):
+    # the trial loop tiles its draw bounds to one pair per trial, which ran
+    # out of memory at --trials 400000000; the tiling is made to fail here
+    # at a count whose real arrays are small
+    base = write(tmp_path / "ex1.txt", EX1)
+    out = tmp_path / "ex1.alist"
+    real_tile = np.tile
+
+    def tile(a, reps):
+        if np.max(reps) >= 10**6:
+            raise MemoryError("Unable to allocate 5.96 GiB")
+        return real_tile(a, reps)
+
+    monkeypatch.setattr(np, "tile", tile)
+    flags = ["--s", "3", "--q", "4", "--trials", "1000000", "--out", str(out)]
+    assert main(["construct", base, *flags]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 5.96 GiB\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

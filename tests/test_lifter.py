@@ -342,7 +342,8 @@ def test_greedy_matches_sequential_reference(kind, q, s, depth, seed):
 
 
 def open_draws_inputs(lifting: Lifting, cycles):
-    """Per base edge e, _open_draws's arguments for e's cycles under this lifting."""
+    """Per base edge e, the cycles through e (ascending) and _open_draws's
+    arguments for them under this lifting."""
     field, s = lifting.field, lifting.s
     owner, edges = lifter._cycle_matchings(lifting.base, cycles)
     log_sum = np.append(field.log_table[lifting.beta], 0)[edges].sum(axis=1) % (field.q - 1)
@@ -350,7 +351,7 @@ def open_draws_inputs(lifting: Lifting, cycles):
     for e in range(lifting.base.edge_rows.size):
         hit = np.unique(owner[(edges == e).any(axis=1)])
         rows = np.flatnonzero(np.isin(owner, hit))
-        yield (
+        yield hit, (
             np.searchsorted(hit, owner[rows]),
             (edges[rows] == e).any(axis=1),
             log_sum[rows],
@@ -363,20 +364,55 @@ def open_draws_inputs(lifting: Lifting, cycles):
         )
 
 
-@pytest.mark.parametrize("name,s,q", [("base_4x16.txt", 12, 16), ("base_8x66.txt", 70, 64)])
-def test_chordless_closed_form_matches_alignment_search(name, s, q):
-    h = BaseMatrix.from_file(INPUTS / name)
-    field = GF(q.bit_length() - 1)
-    lifting = random_lifting(np.random.default_rng(q), h, s, field)
-    for args in open_draws_inputs(lifting, all_cycles(h, 8)):
-        local, n_cycles = args[0], args[6]
-        assert local.size == 2 * n_cycles  # a weight-2 base: every cycle is chordless
+def open_draw_mismatches(lifting: Lifting, cycles, zero_determinants, edges=None) -> int:
+    """Draws of an edge under which _open_draws gets the open cycles wrong.
+
+    For each base edge (or each one in `edges`) and each of its (q - 1) * s
+    draws, the cycles through the edge that _open_draws reports open under
+    the draw (open under every draw, or paired with the draw's key) are
+    compared with those that zero_determinants(lifting with the edge set to
+    the draw, CycleList of the cycles through the edge) flags.  Returns the
+    number of (edge, draw) pairs where the two differ.
+    """
+    field, s = lifting.field, lifting.s
+    mismatches = 0
+    for e, (hit, args) in enumerate(open_draws_inputs(lifting, cycles)):
+        if edges is not None and e not in edges:
+            continue
         always, cycle, key = lifter._open_draws(*args)
-        ref_always, ref_cycle, ref_key = lifter._aligned_draws(*args)
-        assert np.array_equal(always, ref_always)
-        assert sorted(zip(cycle.tolist(), key.tolist())) == sorted(
-            zip(ref_cycle.tolist(), ref_key.tolist())
-        )
+        through = CycleList(cycles.cols[hit], cycles.rows[hit])
+        beta, shift = lifting.beta.copy(), lifting.shift.copy()
+        for lg, z in itertools.product(range(field.q - 1), range(s)):
+            reported = np.zeros(hit.size, dtype=bool)
+            reported[always] = True
+            reported[cycle[key == lg * s + z]] = True
+            beta[e], shift[e] = field.exp_table[lg], z
+            drawn = Lifting(lifting.base, s, field, beta, shift)
+            mismatches += not np.array_equal(reported, zero_determinants(drawn, through))
+    return mismatches
+
+
+def zero_matching_determinants(lifting: Lifting, cycles) -> np.ndarray:
+    return ~cycles_eliminated(lifting, cycles)
+
+
+def zero_cofactor_determinants(lifting: Lifting, cycles) -> np.ndarray:
+    return np.array([cycle_submatrix(lifting, c).determinant().is_zero() for c in cycles])
+
+
+@pytest.mark.parametrize(
+    "name,s,q,edges",
+    # each 8x66 edge has 63 * 70 draws, checked in about 3 s: one edge, of a middle column
+    [("base_4x16.txt", 12, 16, None), ("base_8x66.txt", 70, 64, (77,))],
+    ids=["4x16", "8x66"],
+)
+def test_chordless_closed_form_matches_the_determinant(name, s, q, edges):
+    h = BaseMatrix.from_file(INPUTS / name)
+    lifting = random_lifting(np.random.default_rng(q), h, s, GF(q.bit_length() - 1))
+    cycles = all_cycles(h, 8)
+    # a weight-2 base: every cycle is chordless, so _open_draws takes its closed form
+    assert all(args[0].size == 2 * args[6] for _, args in open_draws_inputs(lifting, cycles))
+    assert open_draw_mismatches(lifting, cycles, zero_matching_determinants, edges) == 0
 
 
 # columns 0 and 3 have weight 3, so some edges meet chorded cycles; the
@@ -392,23 +428,32 @@ MIXED_WEIGHT = BaseMatrix(
 )
 
 
-def test_greedy_takes_both_branches_on_a_mixed_weight_base(monkeypatch):
+@pytest.mark.parametrize(
+    "lifting",
+    [
+        random_lifting(np.random.default_rng(16), MIXED_WEIGHT, 5, F16),
+        # a full 3 x 3 block under beta 1, shift 0: each 6-cycle's six x^0
+        # matchings cancel in A and in B, so it stays open under every draw
+        Lifting.trivial(BaseMatrix(np.ones((3, 3), dtype=int)), 5, F16),
+    ],
+    ids=["mixed-weight", "full-3x3"],
+)
+def test_alignment_search_matches_the_cofactor_determinant(lifting):
+    cycles = all_cycles(lifting.base, 8)
+    assert open_draw_mismatches(lifting, cycles, zero_cofactor_determinants) == 0
+
+
+def test_greedy_takes_both_branches_on_a_mixed_weight_base():
     h = MIXED_WEIGHT
-    searched = []
-    aligned = lifter._aligned_draws
-
-    def counting(*args):
-        searched.append(args[6])
-        return aligned(*args)
-
-    monkeypatch.setattr(lifter, "_aligned_draws", counting)
+    # per edge that meets a cycle, whether _open_draws takes the closed form
+    chordless = [
+        args[0].size == 2 * args[6]
+        for _, args in open_draws_inputs(Lifting.trivial(h, 5, F16), all_cycles(h, 8))
+        if args[6] > 0
+    ]
+    assert 0 < sum(chordless) < len(chordless)
     cfg = ConstructionConfig(s=5, q=16, depth=8, trials_per_edge=4, rng_seed=2)
     lifting, report = greedy_lift(h, cfg)
-    # edges that meet a cycle, each scored by one _open_draws call
-    with_cycles = sum(
-        args[6] > 0 for args in open_draws_inputs(Lifting.trivial(h, 5, F16), all_cycles(h, 8))
-    )
-    assert 0 < len(searched) < with_cycles
     ref_lifting, ref_report = reference_greedy_lift(h, cfg)
     assert serialize_qc(lifting) == serialize_qc(ref_lifting)
     assert report.to_dict() == ref_report.to_dict()

@@ -1,10 +1,9 @@
 """The example script runs end to end, in its own interpreter.
 
-It is the caller outside the tests of build_code, weight2_base,
-Lifting.trivial and run_monte_carlo's batch_size; running it keeps those
-library entry points honest.  The code-parameter bounds have the CLI as
-their only caller outside the tests, and the `nbqc analyze` checks
-in test_cli cover them.
+It is the caller outside the tests of build_code, weight2_base and
+Lifting.trivial; running it keeps those library entry points honest.
+The code-parameter bounds have the CLI as their only caller outside the
+tests, and the `nbqc analyze` checks in test_cli cover them.
 """
 
 import os
