@@ -190,12 +190,6 @@ class CycleList(Sequence):
         k = self.lengths[t] // 2
         return Cycle(tuple(self.cols[t, :k].tolist()), tuple(self.rows[t, :k].tolist()))
 
-    def __iter__(self):
-        for cols, rows, length in zip(
-            self.cols.tolist(), self.rows.tolist(), self.lengths.tolist()
-        ):
-            yield Cycle(tuple(cols[: length // 2]), tuple(rows[: length // 2]))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, CycleList)):
             return NotImplemented

@@ -138,16 +138,14 @@ def bits_to_symbols(bits: np.ndarray, p: int) -> np.ndarray:
 
 
 def modulate(codeword: np.ndarray, p: int, modulation: Modulation) -> np.ndarray:
-    """Map a codeword (or batch) of GF(2^p) symbols to constellation points."""
-    bits = symbols_to_bits(np.atleast_2d(codeword), p)
+    """Map GF(2^p) symbols, along the last axis of any shape, to constellation points."""
+    bits = symbols_to_bits(codeword, p)
     k = modulation.bits_per_symbol
     if bits.shape[-1] % k:
         raise ValueError(
             f"{bits.shape[-1]} codeword bits not divisible by {k} bits/symbol"
         )
-    labels = bits_to_symbols(bits, k)
-    out = modulation.points[labels]
-    return out[0] if np.asarray(codeword).ndim == 1 else out
+    return modulation.points[bits_to_symbols(bits, k)]
 
 
 def _noise_variance(snr_db: float) -> float:
@@ -267,7 +265,8 @@ def symbol_likelihoods(
     p: int,
     n_symbols: int,
 ) -> np.ndarray:
-    """Per-field-symbol probability vectors over GF(2^p), rows summing to 1.
+    """Per-field-symbol probability vectors over GF(2^p), rows summing to 1:
+    a (frames, n_symbols, q) array from a (frames, observations) `received`.
 
     A symbol's distribution is the product, over the observations sharing
     its bits, of each observation's marginal probability of the shared
@@ -281,7 +280,9 @@ def symbol_likelihoods(
     and constellation point within 4 MiB (their float64 weights take 8),
     and at least one frame; it writes its rows of the output.
     """
-    rx = np.atleast_2d(received)
+    rx = np.asarray(received)
+    if rx.ndim != 2:
+        raise ValueError(f"received must be a (frames, observations) array, got shape {rx.shape}")
     k = modulation.bits_per_symbol
     if n_symbols * p != rx.shape[1] * k:
         raise ValueError("received length inconsistent with symbol count")
@@ -297,8 +298,7 @@ def symbol_likelihoods(
         out = probs[lo:hi].reshape(hi - lo, n_symbols, q)
         out += _PROB_FLOOR
         out /= out.sum(axis=2, keepdims=True)
-    probs = probs.reshape(frames, n_symbols, q)
-    return probs if np.ndim(received) == 2 else probs[0]
+    return probs.reshape(frames, n_symbols, q)
 
 
 def _demap_chunk(w: np.ndarray, table: list, probs: np.ndarray) -> None:
@@ -399,17 +399,17 @@ class CodeInstance:
         return self.k / self.n
 
     def encode(self, info: np.ndarray) -> np.ndarray:
-        """Systematic codeword for one info vector or a batch of them."""
-        info = np.asarray(info, dtype=np.int64)
-        single = info.ndim == 1
-        u = np.atleast_2d(info)
+        """Systematic (frames, n) codewords of a (frames, k) array of info symbols."""
+        u = np.asarray(info, dtype=np.int64)
+        if u.ndim != 2:
+            raise ValueError(f"info must be a (frames, {self.k}) array, got shape {u.shape}")
         if u.shape[1] != self.k:
             raise ValueError(f"expected {self.k} information symbols, got {u.shape[1]}")
         out = np.zeros((u.shape[0], self.n), dtype=np.int64)
         out[:, self.info_cols] = u
         # x = out, zeros at the pivots: parity = T[:rank]·(H·x)
         out[:, self.pivot_cols] = gf_matmul(self.field, self.syndrome(out), self.parity_transform.T)
-        return out[0] if single else out
+        return out
 
     def syndrome(self, word: np.ndarray) -> np.ndarray:
         """H·word over GF(q), for one word or for each row of a batch."""

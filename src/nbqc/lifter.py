@@ -113,14 +113,13 @@ class ConstructionConfig:
     depth: int = 8
     trials_per_edge: int = 100
     rng_seed: int = 0
-    cycle_cap: int | None = 100_000
+    cycle_cap: int = 100_000
     # the least value of each integer field; cmd_construct checks its flags by it too
     lows: ClassVar[dict[str, int]] = {"s": 2, "trials_per_edge": 1, "rng_seed": 0, "cycle_cap": 1}
 
     def __post_init__(self) -> None:
         for name, low in self.lows.items():
-            if name != "cycle_cap" or self.cycle_cap is not None:  # None: no cap
-                object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         object.__setattr__(self, "q", check_field_order("q", self.q))
         object.__setattr__(self, "depth", check_depth(self.depth))
 
@@ -433,14 +432,13 @@ def greedy_lift(
     counts = np.bincount(cell[is_open], minlength=cells)
     ace_max = tuple(_ace_minima(counts.reshape(n_slots, width)).tolist())
     rng = np.random.default_rng(cfg.rng_seed)
-    # one call draws an edge's trials as (beta, shift) pairs, in the order that
-    # alternating scalar draws of beta and shift would make them
     n_trials = cfg.trials_per_edge
-    low, high = np.tile([1, 0], n_trials), np.tile([cfg.q, s], n_trials)
 
     accepted: list[AcceptedTrial] = []
     for e, (i, j) in enumerate(h.ones()):
-        draws = rng.integers(low, high).reshape(n_trials, 2)
+        # one call draws the edge's trials as (beta, shift) pairs, in the order
+        # that alternating scalar draws of beta and shift would make them
+        draws = rng.integers([1, 0], [cfg.q, s], size=(n_trials, 2))
         keys = log[draws[:, 0]] * s + draws[:, 1]
 
         mine = match[e_ptr[e] : e_ptr[e + 1]]

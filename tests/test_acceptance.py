@@ -195,9 +195,9 @@ def test_criterion_7_decoder_sanity():
     noiseless_ok = True
     rng = np.random.default_rng(0)
     for _ in range(100):
-        cw = code.encode(rng.integers(0, 4, size=code.k))
-        lik = symbol_likelihoods(modulate(cw, 2, mod), mod, 300.0, 2, code.n)
-        (word,), (conv,), _ = code.decoder().decode_batch(lik[None], 10)
+        cw = code.encode(rng.integers(0, 4, size=(1, code.k)))[0]
+        lik = symbol_likelihoods(modulate(cw[None], 2, mod), mod, 300.0, 2, code.n)
+        (word,), (conv,), _ = code.decoder().decode_batch(lik, 10)
         noiseless_ok &= conv and np.array_equal(word, cw)
 
     from nbqc.channel import CodeInstance
@@ -205,7 +205,7 @@ def test_criterion_7_decoder_sanity():
     toy = CodeInstance(lifting.field, np.array([[1, 2, 0], [0, 1, 3]]))
     single_ok = True
     for info in range(4):
-        cw = toy.encode(np.array([info]))
+        cw = toy.encode(np.array([[info]]))[0]
         for pos in range(3):
             for wrong in range(4):
                 if wrong == cw[pos]:
@@ -222,10 +222,10 @@ def test_criterion_7_decoder_sanity():
     converged_seen = 0
     for idx in range(80):
         frng = np.random.default_rng([41, idx])
-        cw = code.encode(frng.integers(0, 4, size=code.k))
-        rx = modulate_and_transmit(cw, 2, mod, 1.0, frng)
+        cw = code.encode(frng.integers(0, 4, size=(1, code.k)))[0]
+        rx = modulate_and_transmit(cw[None], 2, mod, 1.0, frng)
         lik = symbol_likelihoods(rx, mod, 1.0, 2, code.n)
-        (word,), (conv,), _ = code.decoder().decode_batch(lik[None], 15)
+        (word,), (conv,), _ = code.decoder().decode_batch(lik, 15)
         if conv:
             converged_seen += 1
             syndrome_ok &= not code.syndrome(word).any()

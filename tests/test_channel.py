@@ -76,7 +76,7 @@ def test_build_code_expanded_example():
     assert Fraction(code.k, code.n) >= rate_lower_bound(lifting.base)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        cw = code.encode(rng.integers(0, 4, size=code.k))
+        cw = code.encode(rng.integers(0, 4, size=(1, code.k)))
         assert not code.syndrome(cw).any()
 
 
@@ -96,12 +96,12 @@ def test_rank_deficient_warns_and_adjusts():
 
 def test_encode_linearity_and_zero():
     code = toy_code()
-    assert not code.encode(np.zeros(1, dtype=int)).any()
+    assert not code.encode(np.zeros((1, 1), dtype=int)).any()
     for a in range(4):
         for b in range(4):
-            ca = code.encode(np.array([a]))
-            cb = code.encode(np.array([b]))
-            cab = code.encode(np.array([a ^ b]))
+            ca = code.encode(np.array([[a]]))
+            cb = code.encode(np.array([[b]]))
+            cab = code.encode(np.array([[a ^ b]]))
             assert np.array_equal(ca ^ cb, cab)
 
 
@@ -118,8 +118,10 @@ def test_encode_random_syndromes_zero():
 
 
 def test_encode_length_mismatch():
-    with pytest.raises(ValueError):
-        toy_code().encode(np.zeros(5, dtype=int))
+    with pytest.raises(ValueError, match="expected 1 information symbols, got 5"):
+        toy_code().encode(np.zeros((1, 5), dtype=int))
+    with pytest.raises(ValueError, match=r"info must be a \(frames, 1\) array, got shape \(1,\)"):
+        toy_code().encode(np.zeros(1, dtype=int))
 
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -190,7 +192,6 @@ def test_encode_matches_rref_parity_map_on_irregular_and_deficient_codes():
         deficient += code.rank < len(h)
         info = rng.integers(0, field.q, size=(8, code.k))
         assert np.array_equal(code.encode(info), reference_encode(field, h, info))
-        assert np.array_equal(code.encode(info[0]), reference_encode(field, h, info[:1])[0])
     assert deficient >= 2
 
 
@@ -305,10 +306,10 @@ def test_likelihoods_sum_to_one_noisy():
     rng = np.random.default_rng(5)
     for name, p, n in [("bpsk", 2, 6), ("16qam", 4, 8), ("64qam", 6, 4)]:
         mod = make_modulation(name)
-        cw = rng.integers(0, 1 << p, size=n)
+        cw = rng.integers(0, 1 << p, size=(1, n))
         rx = modulate_and_transmit(cw, p, mod, 2.0, rng)
         lik = symbol_likelihoods(rx, mod, 2.0, p, n)
-        assert np.allclose(lik.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(lik.sum(axis=2), 1.0, atol=1e-9)
         assert (lik >= 0).all()
 
 
@@ -319,7 +320,7 @@ def test_gf4_bpsk_likelihoods_match_bit_products():
     snr_db = 1.5
     n0 = 10 ** (-snr_db / 10)
     rx = modulate_and_transmit(cw, 2, mod, snr_db, rng)
-    lik = symbol_likelihoods(rx, mod, snr_db, 2, 5)
+    lik = symbol_likelihoods(rx[None], mod, snr_db, 2, 5)[0]
     for v in range(5):
         expected = np.zeros(4)
         for val in range(4):
@@ -339,7 +340,7 @@ def test_shared_observation_marginalization():
     mod = make_modulation("16qam")
     cw = rng.integers(0, 4, size=6)
     rx = modulate_and_transmit(cw, 2, mod, 5.0, rng)
-    lik = symbol_likelihoods(rx, mod, 5.0, 2, 6)
+    lik = symbol_likelihoods(rx[None], mod, 5.0, 2, 6)[0]
     n0 = 10 ** (-5.0 / 10)
     w = np.exp(-np.abs(rx[:, None] - mod.points[None, :]) ** 2 / n0)
     for v in range(6):
@@ -385,8 +386,10 @@ def test_generic_alignment_path(p, name):
 
 def test_length_mismatch_rejected():
     mod = make_modulation("bpsk")
-    with pytest.raises(ValueError):
-        symbol_likelihoods(np.zeros(7), mod, 1.0, 2, 4)
+    with pytest.raises(ValueError, match="received length inconsistent with symbol count"):
+        symbol_likelihoods(np.zeros((1, 7)), mod, 1.0, 2, 4)
+    with pytest.raises(ValueError, match=r"received must be a \(frames, observations\) array"):
+        symbol_likelihoods(np.zeros(6), mod, 1.0, 2, 3)
 
 
 # ----------------------------------------------------------------------
@@ -397,10 +400,10 @@ def test_noiseless_decoding_iteration_zero():
     mod = make_modulation("bpsk")
     rng = np.random.default_rng(9)
     for _ in range(100):
-        cw = code.encode(rng.integers(0, 4, size=code.k))
-        rx = modulate(cw, 2, mod)
+        cw = code.encode(rng.integers(0, 4, size=(1, code.k)))[0]
+        rx = modulate(cw[None], 2, mod)
         lik = symbol_likelihoods(rx, mod, 300.0, 2, code.n)
-        (word,), (converged,), (iters,) = code.decoder().decode_batch(lik[None], 10)
+        (word,), (converged,), (iters,) = code.decoder().decode_batch(lik, 10)
         assert converged and iters == 0
         assert np.array_equal(word, cw)
 
@@ -408,7 +411,7 @@ def test_noiseless_decoding_iteration_zero():
 def test_all_single_symbol_errors_corrected():
     code = toy_code()
     for info in range(4):
-        cw = code.encode(np.array([info]))
+        cw = code.encode(np.array([[info]]))[0]
         for pos in range(3):
             for wrong in range(4):
                 if wrong == cw[pos]:
@@ -428,10 +431,10 @@ def test_converged_outputs_have_zero_syndrome():
     rng = np.random.default_rng(10)
     convergences = 0
     for _ in range(60):
-        cw = code.encode(rng.integers(0, 4, size=code.k))
+        cw = code.encode(rng.integers(0, 4, size=(1, code.k)))
         rx = modulate_and_transmit(cw, 2, mod, 1.0, rng)
         lik = symbol_likelihoods(rx, mod, 1.0, 2, code.n)
-        (word,), (converged,), _ = code.decoder().decode_batch(lik[None], 15)
+        (word,), (converged,), _ = code.decoder().decode_batch(lik, 15)
         if converged:
             convergences += 1
             assert not code.syndrome(word).any()
@@ -505,10 +508,10 @@ def test_batch_equals_single_frame_decoding():
     rng = np.random.default_rng(14)
     batch = []
     for _ in range(12):
-        cw = code.encode(rng.integers(0, 4, size=code.k))
+        cw = code.encode(rng.integers(0, 4, size=(1, code.k)))
         rx = modulate_and_transmit(cw, 2, mod, 2.0, rng)
         batch.append(symbol_likelihoods(rx, mod, 2.0, 2, code.n))
-    priors = np.stack(batch)
+    priors = np.concatenate(batch)
     words_b, conv_b, iters_b = code.decoder().decode_batch(priors, 12)
     for t in range(12):
         (w,), (c,), (i,) = code.decoder().decode_batch(priors[t : t + 1], 12)
@@ -1129,14 +1132,14 @@ def test_monte_carlo_matches_ml_oracle_on_toy_code():
     mod = make_modulation("bpsk")
     snr_db = 0.0
     frames = 4000
-    codewords = np.stack([code.encode(np.array([t])) for t in range(4)])
+    codewords = code.encode(np.arange(4)[:, None])
     bp_errors = ml_errors = 0
     for idx in range(frames):
         rng = np.random.default_rng([99, idx])
-        info = rng.integers(0, 4, size=1)
-        cw = code.encode(info)
-        rx = modulate_and_transmit(cw, 2, mod, snr_db, rng)
-        lik = symbol_likelihoods(rx, mod, snr_db, 2, 3)
+        info = rng.integers(0, 4, size=(1, 1))
+        cw = code.encode(info)[0]
+        rx = modulate_and_transmit(cw[None], 2, mod, snr_db, rng)
+        lik = symbol_likelihoods(rx, mod, snr_db, 2, 3)[0]
         (word,), _, _ = code.decoder().decode_batch(lik[None], 20)
         bp_errors += int(not np.array_equal(word, cw))
         scores = np.log(lik[np.arange(3)[None, :], codewords]).sum(axis=1)

@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nbqc.alist_io import load_matrix_file, parse_qc, serialize_full
+from nbqc.alist_io import load_matrix_file, parse_qc, serialize_full, serialize_qc
 from nbqc.base_graph import weight2_base
 from nbqc.channel import CodeInstance, SimConfig, run_monte_carlo
 from nbqc.cli import main
+from nbqc.gf import GF
+from nbqc.lifter import Lifting
 
 EX1 = "2 3\n0 1 1\n1 0 1\n"
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -151,20 +153,19 @@ def test_construct_rejects_negative_seed(tmp_path, capsys):
     assert err == "error: --seed must be an integer >= 0, got -1\n"
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--cycle-cap"])
+@pytest.mark.parametrize("flag", ["--trials"])
 def test_construct_rejects_a_zero_count_naming_its_flag(tmp_path, capsys, flag):
     err = construct_error(tmp_path, capsys, flag, "0")
     assert err == f"error: {flag} must be an integer >= 1, got 0\n"
 
 
-@pytest.mark.filterwarnings("default")  # shown as the CLI shows them, not raised
-def test_construct_prints_warnings_as_one_line_each(tmp_path, capsys):
-    base = write(tmp_path / "b416.txt", make_weight2_base(4, 16))
-    out = str(tmp_path / "b416.alist")
-    argv = ["construct", base, "--s", "12", "--q", "16", "--depth", "6", "--trials", "1"]
-    assert main(argv + ["--cycle-cap", "5", "--out", out]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert err and all(line.startswith("warning: cycle cap 5 reached") for line in err)
+def test_construct_has_no_cycle_cap_flag(tmp_path, capsys):
+    base = write(tmp_path / "ex1.txt", EX1)
+    argv = ["construct", base, "--s", "3", "--q", "4", "--cycle-cap", "5", "--out", "o"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cycle-cap 5" in capsys.readouterr().err
 
 
 def test_construct_missing_file(tmp_path, capsys):
@@ -423,6 +424,20 @@ def sim_config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     return write(tmp_path / "sim.json", json.dumps(cfg))
+
+
+@pytest.mark.filterwarnings("default")  # shown as the CLI shows them, not raised
+def test_cli_prints_warnings_as_one_line_each(tmp_path, capsys):
+    # every column of the trivial lifting of a weight-2 base holds two 1s, so
+    # its rows sum to zero over GF(2^p) and it is rank-deficient
+    base = weight2_base(4, 16)
+    alist = write(tmp_path / "t416.alist", serialize_qc(Lifting.trivial(base, 12, GF(4))))
+    cfg = sim_config(tmp_path, snr_db=[8.0], max_frames=2)
+    assert main(["simulate", alist, cfg, "--out", str(tmp_path / "r.txt")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(
+        line.startswith("warning: parity-check matrix is rank-deficient") for line in err
+    )
 
 
 def test_simulate_writes_results_and_manifest(tmp_path, capsys):
@@ -697,19 +712,23 @@ def test_analyze_lifting_too_large_to_expand_fails_with_message(tmp_path, capsys
 
 
 def test_construct_too_many_trials_fails_with_message(tmp_path, capsys, monkeypatch):
-    # the trial loop tiles its draw bounds to one pair per trial, which ran
-    # out of memory at --trials 400000000; the tiling is made to fail here
-    # at a count whose real arrays are small
+    # the trial loop draws an edge's trials in one (trials, 2) array, which
+    # would take 5.96 GiB at --trials 400000000; that draw is made to fail
+    # here at a count whose real arrays are small
     base = write(tmp_path / "ex1.txt", EX1)
     out = tmp_path / "ex1.alist"
-    real_tile = np.tile
+    real_rng = np.random.default_rng
 
-    def tile(a, reps):
-        if np.max(reps) >= 10**6:
-            raise MemoryError("Unable to allocate 5.96 GiB")
-        return real_tile(a, reps)
+    class Rng:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
 
-    monkeypatch.setattr(np, "tile", tile)
+        def integers(self, low, high, size=None):
+            if size is not None and size[0] >= 10**6:
+                raise MemoryError("Unable to allocate 5.96 GiB")
+            return self.rng.integers(low, high, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", Rng)
     flags = ["--s", "3", "--q", "4", "--trials", "1000000", "--out", str(out)]
     assert main(["construct", base, *flags]) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 5.96 GiB\n"

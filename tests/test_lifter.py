@@ -593,6 +593,7 @@ def test_config_validation():
         ("rng_seed", 1.5),
         ("cycle_cap", 2.5),
         ("cycle_cap", 0),
+        ("cycle_cap", None),
     ],
 )
 def test_config_rejects_mistyped_values(field, value):
@@ -601,7 +602,7 @@ def test_config_rejects_mistyped_values(field, value):
 
 
 def test_config_takes_numpy_integers():
-    cfg = ConstructionConfig(s=np.int64(4), q=np.uint8(16), depth=np.int32(6), cycle_cap=None)
+    cfg = ConstructionConfig(s=np.int64(4), q=np.uint8(16), depth=np.int32(6))
     assert (cfg.s, cfg.q, cfg.depth) == (4, 16, 6) and type(cfg.q) is int
     assert cfg.make_field().q == 16
 
